@@ -219,6 +219,10 @@ int emit_trajectory(const char* path) {
   entries.push_back(measure_entry("jacobi2d", 16, 256));
   entries.push_back(measure_entry("jacobi2d", 64, 256));
   entries.push_back(measure_entry("fmatmul", 16, 64));
+  // The two kernels that dominate a cold Fig. 6 sweep, each batching whole
+  // rows: fconv2d in bus-phase super-periods, softmax at its row period.
+  entries.push_back(measure_entry("fconv2d", 16, 256));
+  entries.push_back(measure_entry("softmax", 64, 512));
 
   std::string out = "{\n";
   out += "  \"revision\": \"" + std::string(store::git_revision()) + "\",\n";

@@ -40,28 +40,57 @@ OpKey op_key(const ProgOp& op, std::uint64_t vlen_bits) {
   return k;
 }
 
+namespace {
+
+/// The smallest-period region starting exactly at `i` with at least three
+/// full periods of at most `max_period` ops (period 0 when there is none).
+LoopRegion region_at(const std::vector<OpKey>& keys, std::size_t i,
+                     std::size_t max_period) {
+  const std::size_t n = keys.size();
+  const std::size_t p_cap = std::min(max_period, (n - i) / 3);
+  for (std::size_t p = 1; p <= p_cap; ++p) {
+    // Cheap prefilter before the O(p) window compare.
+    if (keys[i] != keys[i + p]) continue;
+    std::size_t j = 1;
+    while (j < p && keys[i + j] == keys[i + p + j]) ++j;
+    if (j < p) continue;
+    std::size_t e = i + 2 * p;
+    while (e < n && keys[e] == keys[e - p]) ++e;
+    if (e - i >= 3 * p) return LoopRegion{i, e, p};
+  }
+  return LoopRegion{i, i, 0};
+}
+
+std::size_t full_periods(const LoopRegion& r) {
+  return (r.end - r.start) / r.period;
+}
+
+}  // namespace
+
 std::vector<LoopRegion> find_loop_regions(const std::vector<OpKey>& keys,
                                           std::size_t max_period) {
   std::vector<LoopRegion> out;
   const std::size_t n = keys.size();
   std::size_t i = 0;
   while (i < n) {
-    bool found = false;
-    const std::size_t p_cap = std::min(max_period, (n - i) / 2);
-    for (std::size_t p = 1; p <= p_cap; ++p) {
-      // Cheap prefilter before the O(p) window compare.
-      if (keys[i] != keys[i + p]) continue;
-      std::size_t j = 1;
-      while (j < p && keys[i + j] == keys[i + p + j]) ++j;
-      if (j < p) continue;
-      std::size_t e = i + 2 * p;
-      while (e < n && keys[e] == keys[e - p]) ++e;
-      out.push_back(LoopRegion{i, e, p});
-      i = e;
-      found = true;
-      break;  // smallest period wins
+    LoopRegion best = region_at(keys, i, max_period);
+    if (best.period == 0) {
+      ++i;
+      continue;
     }
-    if (!found) ++i;
+    // An inner loop starting inside the first body that runs for more
+    // iterations than the outer one has more to batch: a few long outer
+    // bodies (wide machines split a row into few strips) must not hide a
+    // long inner loop. Only shorter periods can be inner loops; a
+    // same-period candidate is a rotation of `best` and ends where it does.
+    const std::size_t first_body_end = i + best.period;
+    const std::size_t inner_cap = best.period - 1;
+    for (std::size_t j = i + 1; j < first_body_end; ++j) {
+      const LoopRegion c = region_at(keys, j, inner_cap);
+      if (c.period != 0 && full_periods(c) > full_periods(best)) best = c;
+    }
+    out.push_back(best);
+    i = best.end;
   }
   return out;
 }

@@ -72,7 +72,10 @@ struct OpKey {
 
 /// A maximal periodic run of ops[start, end) where every op's signature
 /// equals the signature one `period` earlier — the static shape of a
-/// strip-mined loop. Regions contain at least two full periods.
+/// strip-mined loop. Regions contain at least three full periods: the
+/// batcher records one, matches the next and needs one more to batch, so
+/// a two-period run could never batch (and would hide shorter loops
+/// nested inside it, e.g. two strips of an inner loop).
 struct LoopRegion {
   std::size_t start = 0;
   std::size_t end = 0;
@@ -80,10 +83,15 @@ struct LoopRegion {
 };
 
 /// Scans a signature sequence for periodic regions, preferring the
-/// smallest period at each position. Greedy and non-overlapping, in
-/// program order. `max_period` bounds the loop-body length considered.
+/// smallest period at each position — unless a shorter-period loop that
+/// starts inside the first body runs for more iterations, which then wins.
+/// Greedy and non-overlapping, in program order. `max_period` bounds the
+/// loop-body length considered; the default covers every registry
+/// kernel's whole loop body (fconv2d's output row is 115 ops, softmax's
+/// row up to 215), so a body is found as one region instead of as
+/// short-period fragments of itself.
 [[nodiscard]] std::vector<LoopRegion> find_loop_regions(
-    const std::vector<OpKey>& keys, std::size_t max_period = 64);
+    const std::vector<OpKey>& keys, std::size_t max_period = 256);
 
 /// Two-level loop structure detected inside a LoopRegion: the region's
 /// period is the *inner* loop body, and every `outer_period` inner

@@ -85,17 +85,18 @@ class Fconv2dKernel final : public Kernel {
   }
 
   [[nodiscard]] VerifyResult verify(const Machine& m) const override {
-    std::vector<double> expected(std::uint64_t{kRows} * n_);
+    // Row-at-a-time: one row of accumulators, input rows streamed
+    // unit-stride. Every element still takes its fma chain in (dr, dc)
+    // order, so the result is bit-identical to the per-element loop.
+    std::vector<double> expected(std::uint64_t{kRows} * n_, 0.0);
     for (unsigned r = 0; r < kRows; ++r) {
-      for (std::uint64_t c = 0; c < n_; ++c) {
-        double acc = 0.0;
-        for (unsigned dr = 0; dr < kF; ++dr) {
-          for (unsigned dc = 0; dc < kF; ++dc) {
-            acc = std::fma(in_[(std::uint64_t{r + dr} * in_cols_) + c + dc],
-                           f_[dr * kF + dc], acc);
-          }
+      double* acc = expected.data() + std::uint64_t{r} * n_;
+      for (unsigned dr = 0; dr < kF; ++dr) {
+        for (unsigned dc = 0; dc < kF; ++dc) {
+          const double f = f_[dr * kF + dc];
+          const double* in = in_.data() + std::uint64_t{r + dr} * in_cols_ + dc;
+          for (std::uint64_t c = 0; c < n_; ++c) acc[c] = std::fma(in[c], f, acc[c]);
         }
-        expected[std::uint64_t{r} * n_ + c] = acc;
       }
     }
     return compare_doubles(expected,

@@ -78,14 +78,16 @@ class FmatmulKernel final : public Kernel {
   }
 
   [[nodiscard]] VerifyResult verify(const Machine& m) const override {
-    std::vector<double> expected(kM * n_);
+    // i-k-j order: one row of accumulators, rows of B streamed unit-stride.
+    // Every element still takes its fma chain in ascending k, so the result
+    // is bit-identical to the textbook i-j-k loop.
+    std::vector<double> expected(kM * n_, 0.0);
     for (unsigned i = 0; i < kM; ++i) {
-      for (std::uint64_t j = 0; j < n_; ++j) {
-        double acc = 0.0;
-        for (unsigned k = 0; k < kK; ++k) {
-          acc = std::fma(a_[i * kK + k], b_[std::uint64_t{k} * n_ + j], acc);
-        }
-        expected[i * n_ + j] = acc;
+      double* acc = expected.data() + std::uint64_t{i} * n_;
+      for (unsigned k = 0; k < kK; ++k) {
+        const double a = a_[i * kK + k];
+        const double* b = b_.data() + std::uint64_t{k} * n_;
+        for (std::uint64_t j = 0; j < n_; ++j) acc[j] = std::fma(a, b[j], acc[j]);
       }
     }
     return compare_doubles(expected, m.mem().load_doubles(c_addr_, kM * n_));

@@ -929,6 +929,7 @@ void TimingEngine::reset_run(const Program& prog) {
   loop_regions_.clear();
   loop_barriers_.clear();
   loop_last_engageable_.clear();
+  loop_iters_per_period_.clear();
   loop_region_idx_ = 0;
   last_ckpt_pc_ = static_cast<std::size_t>(-1);
   ckpt_.valid = false;

@@ -353,6 +353,10 @@ class TimingEngine {
   /// Checkpoint recording stops past it; this is the cheap early-out that
   /// keeps dense-barrier regions from snapshotting every period.
   std::vector<std::size_t> loop_last_engageable_;
+  /// Per region: loop-body iterations per (super-)period — m when the
+  /// region's period was promoted to m bodies to make the bus phase repeat,
+  /// else 1.
+  std::vector<std::uint64_t> loop_iters_per_period_;
   std::size_t loop_region_idx_ = 0;
   std::size_t last_ckpt_pc_ = static_cast<std::size_t>(-1);
   LoopCheckpoint ckpt_;

@@ -699,6 +699,17 @@ void TimingEngine::advance_span_store(Inflight& instr, Cycle from, Cycle to) {
 //    footprint => conservative conflict either way), and zero-vl ops
 //    never enter the sequencer at all.
 //
+// Super-periods: "period" above need not be the loop body. When a body's
+// unit-stride walk drifts its bus phase (a row pitch that is not a bus
+// multiple), check (a) fails at every body boundary, but the phase may
+// repeat every m bodies. prepare_loop_batching then promotes the region's
+// period to m bodies before any barrier is computed, so checks (a) and (b),
+// the barriers, the liveness gate and the snapshot match all compare
+// states and ops one super-period apart; signatures still repeat at that
+// lag because they repeat at every body. The argument above carries over
+// word for word with "period" read as "super-period"; only the
+// batched_iterations count multiplies by m.
+//
 // Warmup fast-forward: a handful of serialized fields provably cannot
 // influence evolution — issue/dispatch stamps are read only when writing
 // trace records, and Pending::arrive_at / cva6_free_ are read only
@@ -777,6 +788,7 @@ void TimingEngine::prepare_loop_batching() {
   loop_regions_ = find_loop_regions(op_keys_);
   loop_barriers_.assign(loop_regions_.size(), {});
   loop_last_engageable_.assign(loop_regions_.size(), 0);
+  loop_iters_per_period_.assign(loop_regions_.size(), 1);
   if (loop_regions_.empty()) return;
 
   // Dispatch-time shape of every op, reproduced by the same walk tick_cva6
@@ -814,8 +826,48 @@ void TimingEngine::prepare_loop_batching() {
     return alo < bhi && blo < ahi;
   };
 
+  // Check (a) at lag `lag`: every unit-stride op's bus phase equals that
+  // of its counterpart `lag` ops earlier.
+  const auto phase_repeats = [&](const LoopRegion& r, std::size_t lag) {
+    for (std::size_t i = r.start + lag; i < r.end; ++i) {
+      const auto* v = std::get_if<VInstr>(&prog_->ops[i]);
+      if (v == nullptr || op_vl[i] == 0 || !bounded_mem_op(v->op) ||
+          elementwise_mem_op(v->op)) {
+        continue;
+      }
+      if (v->addr % bus != std::get<VInstr>(prog_->ops[i - lag]).addr % bus) {
+        return false;
+      }
+    }
+    return true;
+  };
+
   for (std::size_t ri = 0; ri < loop_regions_.size(); ++ri) {
-    const LoopRegion& r = loop_regions_[ri];
+    LoopRegion& r = loop_regions_[ri];
+    // Bus-phase super-period: when a unit-stride walk drifts its phase
+    // every body period (a row pitch that is not a bus multiple) but the
+    // phase pattern repeats every m bodies, batch in super-periods of m
+    // bodies. An arithmetic walk's phase cycles with the power-of-two
+    // period bus/gcd(delta, bus), at most bus/ew for ew-multiple deltas;
+    // the check itself is op by op and assumes no arithmetic walk. Only
+    // promote when record + match + at least one batched super-period fit.
+    if (!phase_repeats(r, r.period)) {
+      std::uint64_t min_ew = bus;
+      for (std::size_t i = r.start; i < r.end; ++i) {
+        const auto* v = std::get_if<VInstr>(&prog_->ops[i]);
+        if (v != nullptr && bounded_mem_op(v->op) && !elementwise_mem_op(v->op)) {
+          min_ew = std::min<std::uint64_t>(min_ew, op_ew[i]);
+        }
+      }
+      for (std::size_t m = 2; m <= bus / min_ew; m *= 2) {
+        if (r.end - r.start < 3 * m * r.period) break;
+        if (phase_repeats(r, m * r.period)) {
+          r.period *= m;
+          loop_iters_per_period_[ri] = m;
+          break;
+        }
+      }
+    }
     const std::size_t p = r.period;
     // Per period: bit 0 = any barrier, bit 1 = a genuine one (skew phase or
     // overlap-outcome change with in-region counterparts, as opposed to the
@@ -1095,9 +1147,9 @@ bool TimingEngine::loop_checkpoint(Cycle* t_io) {
   const LoopRegion& r = loop_regions_[loop_region_idx_];
   // Past the last boundary from which a whole barrier-free period still
   // lies ahead, no engage can ever happen (pc only grows) — skip the
-  // snapshot work entirely. Dense-barrier regions (an aperiodic address
-  // walk, an unpadded stencil whose bus phase drifts every period) would
-  // otherwise serialize the machine at every boundary for nothing.
+  // snapshot work entirely. Dense-barrier regions (an address walk whose
+  // bus phase never repeats, or a conflict outcome that keeps flipping)
+  // would otherwise serialize the machine at every boundary for nothing.
   if (pc_ > loop_last_engageable_[loop_region_idx_]) return false;
   if (pc_ < r.start + r.period) return false;
   if ((pc_ - r.start) % r.period != 0) return false;
@@ -1128,7 +1180,7 @@ bool TimingEngine::loop_checkpoint(Cycle* t_io) {
           trace_->mark(*t_io, clamped     ? SimMarkerKind::kBatchClamp
                               : projected ? SimMarkerKind::kBatchWarmup
                                           : SimMarkerKind::kBatchEngage,
-                       k);
+                       k * loop_iters_per_period_[loop_region_idx_]);
         }
         // The landing pc is itself a boundary; the state there is known to
         // equal this snapshot (shifted), so re-arm recording from scratch
@@ -1312,11 +1364,14 @@ void TimingEngine::apply_batch(const LoopRegion& r, std::uint64_t k, Cycle d,
     stats_.stall_cycles[r2] += k * (stats_.stall_cycles[r2] - s0.stall_cycles[r2]);
   }
   stats_.fpu_busy_slots += k * (stats_.fpu_busy_slots - s0.fpu_busy_slots);
-  stats_.batched_iterations += k;
+  // A super-period holds several loop-body iterations; count those.
+  const std::uint64_t iters = k * loop_iters_per_period_[loop_region_idx_];
+  stats_.batched_iterations += iters;
 
-  // 5. One batch = K iterations of progress, not one note (the watchdog's
-  // wakeup budget must not see a long fast-forward as a silent machine).
-  watchdog_.note_progress(k);
+  // 5. One batch = many iterations of progress, not one note (the
+  // watchdog's wakeup budget must not see a long fast-forward as a silent
+  // machine).
+  watchdog_.note_progress(iters);
 
   *t_io = t2 + shift;
 }

@@ -41,11 +41,12 @@ struct TraceRecord {
 /// untouched.
 enum class SimMarkerKind : std::uint8_t {
   kWakeup = 0,    ///< one scheduler wakeup (arg: in-flight occupancy)
-  kBatchEngage,   ///< apply_batch retired iterations (arg: K)
-  kBatchClamp,    ///< a batch was clamped short of the region end (arg: K)
+  kBatchEngage,   ///< apply_batch retired iterations (arg: loop iterations)
+  kBatchClamp,    ///< a batch was clamped short of the region end
+                  ///< (arg: loop iterations)
   kBatchReject,   ///< batching declined (arg: BatchReject reason index)
   kBatchWarmup,   ///< engage whose snapshots matched only after projecting
-                  ///< timing-inert warmup fields (arg: K)
+                  ///< timing-inert warmup fields (arg: loop iterations)
 };
 
 struct SimMarker {

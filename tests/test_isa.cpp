@@ -161,6 +161,65 @@ TEST(Builder, ZeroScalarCyclesElided) {
   EXPECT_EQ(pb.take().ops.size(), 0u);
 }
 
+// ---- loop-region detection --------------------------------------------------
+
+/// `reps` copies of a 115-op body shaped like an fconv2d output row: one
+/// head op, seven 16-op blocks that repeat among themselves, two tail ops.
+std::vector<OpKey> row_body_keys(std::size_t reps) {
+  std::vector<OpKey> keys;
+  for (std::size_t r = 0; r < reps; ++r) {
+    keys.push_back(OpKey{.tag = 1, .op = 1});
+    for (std::size_t b = 0; b < 7; ++b) {
+      for (std::uint64_t j = 0; j < 16; ++j) keys.push_back(OpKey{.value = j + 1});
+    }
+    keys.push_back(OpKey{.tag = 1, .op = 2});
+    keys.push_back(OpKey{.value = 99});
+  }
+  return keys;
+}
+
+TEST(LoopRegions, WholeRowBodyIsOneRegionUnderDefaultCap) {
+  // Twelve rows: the row loop runs longer than the 7-iteration block loop
+  // inside it, so the whole 115-op body is the region.
+  const std::vector<OpKey> keys = row_body_keys(12);
+  ASSERT_EQ(keys.size(), 12u * 115);
+  const std::vector<LoopRegion> regions = find_loop_regions(keys);
+  ASSERT_EQ(regions.size(), 1u);
+  EXPECT_EQ(regions[0].start, 0u);
+  EXPECT_EQ(regions[0].end, keys.size());
+  EXPECT_EQ(regions[0].period, 115u);
+
+  // A 64-op cap cannot see the body: only the 16-op blocks inside each row
+  // are found, as short fragments.
+  const std::vector<LoopRegion> capped = find_loop_regions(keys, 64);
+  ASSERT_FALSE(capped.empty());
+  for (const LoopRegion& r : capped) {
+    EXPECT_EQ(r.period, 16u);
+    EXPECT_LE(r.end - r.start, 112u);
+  }
+}
+
+TEST(LoopRegions, LongerInnerLoopBeatsFewOuterBodies) {
+  // Four rows: the 7-iteration block loop inside each row has more to
+  // batch than four row bodies, so the blocks are the regions, one per row.
+  const std::vector<OpKey> keys = row_body_keys(4);
+  const std::vector<LoopRegion> regions = find_loop_regions(keys);
+  ASSERT_EQ(regions.size(), 4u);
+  for (std::size_t r = 0; r < regions.size(); ++r) {
+    EXPECT_EQ(regions[r].start, r * 115 + 1);
+    EXPECT_EQ(regions[r].end, r * 115 + 113);
+    EXPECT_EQ(regions[r].period, 16u);
+  }
+}
+
+TEST(LoopRegions, TwoPeriodRunIsNoRegion) {
+  // Two bodies can be recorded and matched but never batched, so only the
+  // block loops inside them are regions.
+  const std::vector<LoopRegion> regions = find_loop_regions(row_body_keys(2));
+  ASSERT_EQ(regions.size(), 2u);
+  for (const LoopRegion& r : regions) EXPECT_EQ(r.period, 16u);
+}
+
 // ---- two-level nest detection ----------------------------------------------
 
 /// 4 rows x 5 strips of (vle, vfadd) with `pitch` between row starts.
@@ -228,7 +287,8 @@ TEST(Disasm, MaskedSuffix) {
   ProgramBuilder pb(16384, "t");
   pb.vsetvli(16, Sew::k64, kLmul1);
   pb.vfadd_vv(8, 4, 2, /*masked=*/true);
-  const VInstr& in = std::get<VInstr>(pb.take().ops[1]);
+  const Program prog = pb.take();
+  const VInstr& in = std::get<VInstr>(prog.ops[1]);
   EXPECT_NE(disasm(in).find("v0.t"), std::string::npos);
 }
 
@@ -236,7 +296,8 @@ TEST(Disasm, AccumulatorScalarShown) {
   ProgramBuilder pb(16384, "t");
   pb.vsetvli(16, Sew::k64, kLmul1);
   pb.vfmul_vf_acc(8, 4);
-  const VInstr& in = std::get<VInstr>(pb.take().ops[1]);
+  const Program prog = pb.take();
+  const VInstr& in = std::get<VInstr>(prog.ops[1]);
   EXPECT_NE(disasm(in).find("fs=<acc>"), std::string::npos);
 }
 

@@ -3,6 +3,8 @@
 // weak-scaling points, on both AraXL and the Ara2 baseline.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "kernels/common.hpp"
 #include "machine/machine.hpp"
 
@@ -83,6 +85,37 @@ TEST_P(KernelVerify64L, MatchesScalarReferenceAt64Lanes) {
 INSTANTIATE_TEST_SUITE_P(AllKernels, KernelVerify64L,
                          testing::Values("fmatmul", "fconv2d", "jacobi2d",
                                          "fdotproduct", "exp", "softmax"));
+
+class KernelVerifyExact : public testing::TestWithParam<const char*> {};
+
+TEST_P(KernelVerifyExact, OneUlpOffFails) {
+  // These golden references are exact (tolerance 0): moving one output
+  // element by a single ulp must fail verification, whatever loop order
+  // the reference uses internally.
+  Machine m(MachineConfig::araxl(8));
+  auto kernel = make_kernel(GetParam());
+  const Program prog = kernel->build(m, 64);
+  m.run(prog);
+  ASSERT_TRUE(kernel->verify(m).ok(kernel->tolerance()));
+  ASSERT_EQ(kernel->tolerance(), 0.0);
+
+  // The program's last store writes into the output array.
+  std::uint64_t out_addr = 0;
+  for (const ProgOp& op : prog.ops) {
+    const auto* in = std::get_if<VInstr>(&op);
+    if (in != nullptr && in->op == Op::kVse) out_addr = in->addr;
+  }
+  ASSERT_NE(out_addr, 0u);
+  const double v = m.mem().load_doubles(out_addr + 3 * 8, 1)[0];
+  const std::vector<double> bumped = {std::nextafter(v, INFINITY)};
+  m.mem().store_doubles(out_addr + 3 * 8, bumped);
+  const VerifyResult vr = kernel->verify(m);
+  EXPECT_GT(vr.max_rel_err, 0.0);
+  EXPECT_FALSE(vr.ok(kernel->tolerance()));
+}
+
+INSTANTIATE_TEST_SUITE_P(ExactKernels, KernelVerifyExact,
+                         testing::Values("fmatmul", "fconv2d"));
 
 }  // namespace
 }  // namespace araxl

@@ -674,5 +674,166 @@ TEST(LoopBatching, SignatureCollisionAddressBreakRejected) {
   EXPECT_TRUE(ev == oracle);
 }
 
+// ---- whole-body regions and bus-phase super-periods --------------------------
+
+struct TracedRun {
+  RunStats stats;
+  InstrTrace trace;
+};
+
+TracedRun run_traced(const MachineConfig& cfg, TimingMode mode,
+                     const std::function<Program(Machine&)>& build) {
+  MachineConfig c = cfg;
+  c.timing_mode = mode;
+  Machine m(c);
+  TracedRun out;
+  // Batch markers only: the oracle would log a wakeup marker every cycle.
+  if (mode == TimingMode::kEventDriven) out.trace.enable_markers();
+  out.stats = m.run(build(m), &out.trace);
+  return out;
+}
+
+void expect_same_records(const InstrTrace& ev, const InstrTrace& oracle,
+                         const std::string& label) {
+  ASSERT_EQ(ev.records().size(), oracle.records().size()) << label;
+  for (std::size_t i = 0; i < ev.records().size(); ++i) {
+    const TraceRecord& x = ev.records()[i];
+    const TraceRecord& y = oracle.records()[i];
+    ASSERT_EQ(x.id, y.id) << label << " #" << i;
+    ASSERT_EQ(x.prog_index, y.prog_index) << label << " #" << i;
+    ASSERT_EQ(x.text, y.text) << label << " #" << i;
+    ASSERT_EQ(x.vl, y.vl) << label << " #" << i;
+    ASSERT_EQ(x.issued, y.issued) << label << " #" << i;
+    ASSERT_EQ(x.dispatched, y.dispatched) << label << " #" << i;
+    ASSERT_EQ(x.first_result, y.first_result) << label << " #" << i;
+    ASSERT_EQ(x.completed, y.completed) << label << " #" << i;
+    ASSERT_EQ(x.stall_reason, y.stall_reason) << label << " #" << i;
+    ASSERT_EQ(x.stall_slots, y.stall_slots) << label << " #" << i;
+  }
+}
+
+/// Runs `build` under both engines, traced, and checks RunStats and every
+/// trace record bit-identical; returns the event engine's run.
+TracedRun run_both_traced(const MachineConfig& cfg,
+                          const std::function<Program(Machine&)>& build,
+                          const std::string& label) {
+  TracedRun ev = run_traced(cfg, TimingMode::kEventDriven, build);
+  const TracedRun oracle = run_traced(cfg, TimingMode::kCycleStepped, build);
+  EXPECT_TRUE(ev.stats == oracle.stats) << label;
+  expect_same_records(ev.trace, oracle.trace, label);
+  return ev;
+}
+
+TEST(LoopBatching, EngagesOnFconv2dAndSoftmaxRows) {
+  // fconv2d's output row (115 ops) and softmax's row (113 ops) are whole
+  // loop bodies only a >64-op period cap can see; fconv2d's input pitch
+  // n+6 also drifts every load's bus phase by 48 B per row, which the
+  // super-period promotion absorbs. Both must batch, with no progression
+  // rejects, bit-identically to the oracle in RunStats and traces.
+  const struct {
+    const char* kernel;
+    unsigned lanes;
+    std::uint64_t bpl;
+  } cases[] = {{"fconv2d", 8, 64}, {"fconv2d", 64, 64}, {"softmax", 64, 256}};
+  for (const auto& c : cases) {
+    const std::string label =
+        std::string(c.kernel) + " araxl:" + std::to_string(c.lanes);
+    const auto [ev, oracle] = run_both_engines(c.kernel, c.lanes, c.bpl);
+    EXPECT_GT(ev.batched_iterations, 0u) << label;
+    EXPECT_EQ(rejects(ev, BatchReject::kAddrProgression), 0u) << label;
+    EXPECT_TRUE(ev == oracle) << label;
+
+    const TracedRun traced = run_both_traced(
+        MachineConfig::araxl(c.lanes),
+        [&](Machine& m) { return make_kernel(c.kernel)->build(m, c.bpl); },
+        label + " traced");
+    EXPECT_GT(traced.stats.batched_iterations, 0u) << label;
+  }
+}
+
+/// `iters` strips of (vle, vfadd, vse) whose load advances `load_step(i)`
+/// bytes per strip while the store advances a bus-aligned strip.
+Program drifting_loop(const MachineConfig& cfg, std::uint64_t iters,
+                      const std::function<std::uint64_t(std::uint64_t)>& load_step) {
+  ProgramBuilder pb(cfg.effective_vlen(), "drift");
+  const std::uint64_t vlmax_m2 = 2 * cfg.effective_vlen() / 64;
+  std::uint64_t a = kA;
+  for (std::uint64_t i = 0; i < iters; ++i) {
+    pb.vsetvli(vlmax_m2, Sew::k64, kLmul2);
+    pb.vle(8, a);
+    pb.vfadd_vf(16, 8, 1.0);
+    pb.vse(16, kC + i * vlmax_m2 * 8);
+    a += load_step(i);
+  }
+  return pb.take();
+}
+
+TEST(LoopBatching, BusPhaseDriftPromotesToSuperPeriod) {
+  // 8 lanes: a 64 B bus. The load advances one strip plus 48 B, so its bus
+  // phase cycles 0, 48, 32, 16 — equal only 4 bodies apart. The region is
+  // promoted to a 4-body super-period and batches; batched_iterations
+  // still counts loop bodies, so it and every engage marker's iteration
+  // count are multiples of 4.
+  const MachineConfig cfg = MachineConfig::araxl(8);
+  ASSERT_EQ(cfg.mem_bytes_per_cycle(), 64u);
+  const std::uint64_t strip = 2 * cfg.effective_vlen() / 64 * 8;
+  const auto build = [&](Machine&) {
+    return drifting_loop(cfg, 64, [&](std::uint64_t) { return strip + 48; });
+  };
+  const TracedRun ev = run_both_traced(cfg, build, "drift48");
+  EXPECT_GT(ev.stats.batched_iterations, 0u);
+  EXPECT_EQ(ev.stats.batched_iterations % 4, 0u);
+  EXPECT_EQ(rejects(ev.stats, BatchReject::kAddrProgression), 0u);
+  std::size_t engages = 0;
+  for (const SimMarker& mk : ev.trace.markers()) {
+    if (mk.kind == SimMarkerKind::kWakeup || mk.kind == SimMarkerKind::kBatchReject) {
+      continue;
+    }
+    ++engages;
+    EXPECT_EQ(mk.arg % 4, 0u) << "engage at cycle " << mk.cycle;
+  }
+  EXPECT_GE(engages, 1u);
+}
+
+std::uint64_t splitmix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+TEST(LoopBatching, AperiodicBusPhaseIsNotPromoted) {
+  // Adversarial: each strip's load step adds a pseudo-random multiple of
+  // 8 B, so the bus phase never repeats at any power-of-two lag. The region
+  // keeps its body period, every phase change stays a barrier (filed as
+  // addr_progression), and the run stays bit-identical to the oracle.
+  const MachineConfig cfg = MachineConfig::araxl(8);
+  const std::uint64_t strip = 2 * cfg.effective_vlen() / 64 * 8;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const auto build = [&](Machine&) {
+      return drifting_loop(cfg, 64, [&](std::uint64_t i) {
+        return strip + 8 * (splitmix64(seed * 1000 + i) % 8);
+      });
+    };
+    const TracedRun ev =
+        run_both_traced(cfg, build, "splitmix seed " + std::to_string(seed));
+    EXPECT_GE(rejects(ev.stats, BatchReject::kAddrProgression), 1u) << seed;
+  }
+}
+
+TEST(LoopBatching, SuperPeriodNeedsThreeInRegion) {
+  // The 48 B drift again, but 11 bodies: fewer than 3 four-body
+  // super-periods (record, match, batch), so no promotion — the region
+  // simulates per wakeup with its per-body phase barriers, bit-identically.
+  const MachineConfig cfg = MachineConfig::araxl(8);
+  const std::uint64_t strip = 2 * cfg.effective_vlen() / 64 * 8;
+  const auto build = [&](Machine&) {
+    return drifting_loop(cfg, 11, [&](std::uint64_t) { return strip + 48; });
+  };
+  const TracedRun ev = run_both_traced(cfg, build, "drift48 short");
+  EXPECT_EQ(ev.stats.batched_iterations, 0u);
+  EXPECT_GE(rejects(ev.stats, BatchReject::kAddrProgression), 1u);
+}
+
 }  // namespace
 }  // namespace araxl
