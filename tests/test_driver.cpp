@@ -141,6 +141,114 @@ TEST(ConfigSpec, ParsesShapesAndKnobs) {
   }
 }
 
+// ---- reporters: golden bytes ------------------------------------------------
+
+/// A finished job whose every RunStats word holds a distinct non-zero value
+/// and whose provenance (cache_hit, attempts) is live, so the golden rows
+/// below show both which fields a report carries and which it zeroes.
+JobResult golden_result() {
+  JobResult r;
+  r.job.index = 7;
+  r.job.config_label = "araxl:8";
+  r.job.cfg = MachineConfig::araxl(8);
+  r.job.kernel = "exp";
+  r.job.bytes_per_lane = 64;
+  r.job.seed = 42;
+  r.ok = true;
+  RunStats& s = r.stats;
+  s.cycles = 1001;
+  s.total_lanes = 1002;
+  s.vinstrs = 1003;
+  s.scalar_ops = 1004;
+  s.flops = 1005;
+  s.fpu_result_elems = 1006;
+  s.mem_read_bytes = 1007;
+  s.mem_write_bytes = 1008;
+  s.issue_stall_cycles = 1009;
+  s.scalar_wait_cycles = 1010;
+  for (std::size_t i = 0; i < kNumUnits; ++i) s.unit_busy_elems[i] = 1011 + i;
+  for (std::size_t i = 0; i < kNumStallReasons; ++i) s.stall_cycles[i] = 1018 + i;
+  s.fpu_busy_slots = 1025;
+  s.wakeups_total = 1026;
+  s.batched_iterations = 1027;
+  for (std::size_t i = 0; i < kNumBatchRejects; ++i) s.batch_rejects[i] = 1028 + i;
+  s.warmup_projected = 1033;
+  s.batch_clamps = 1034;
+  r.verified = true;
+  r.tolerance = 1e-12;
+  r.verify.checked = 512;
+  r.verify.max_rel_err = 3.0000000000000004e-13;
+  r.cache_hit = true;
+  r.attempts = 3;
+  return r;
+}
+
+// The byte-identity tests elsewhere compare two runs of one build; these
+// pin the format itself, so a renamed, reordered or dropped column fails.
+TEST(Report, JsonRecordMatchesGoldenBytes) {
+  const JobResult r = golden_result();
+  const std::string head =
+      R"({"index":7,"kernel":"exp","bytes_per_lane":64,"seed":42,)"
+      R"("cache_hit":false,"attempts":)";
+  const std::string config =
+      R"(,"config":{"label":"araxl:8",)"
+      R"("name":"8L-AraXL","kind":"araxl","clusters":2,"lanes_per_cluster":4,)"
+      R"("total_lanes":8,"vlen_bits":8192,"timing_mode":"event-driven",)"
+      R"("reqi_regs":0,"glsu_regs":0,"ring_regs":0,"l2_latency":12},"ok":true,)"
+      R"("status":"ok","stats":{"cycles":1001,"vinstrs":1003,"scalar_ops":1004,)"
+      R"("flops":1005,"fpu_result_elems":1006,"mem_read_bytes":1007,)"
+      R"("mem_write_bytes":1008,"issue_stall_cycles":1009,)"
+      R"("scalar_wait_cycles":1010,"unit_busy_elems":{"none":1011,"fpu":1012,)"
+      R"("alu":1013,"load":1014,"store":1015,"sldu":1016,"masku":1017},)";
+  const std::string tail =
+      R"("fpu_util":0.0010029890269411226,"flop_per_cycle":1.0039960039960041},)"
+      R"("ppa":{"freq_ghz":1.3999999999999999,"area_mm2":1.3633327500000001,)"
+      R"("power_w":0.31865525487207402,"gflops":1.4055944055944056,)"
+      R"("gflops_per_w":4.4110190687383755},"verify":{"checked":512,)"
+      R"("max_rel_err":3.0000000000000003e-13,)"
+      R"("tolerance":9.9999999999999998e-13}})";
+  EXPECT_EQ(json_record(r),
+            head + "0" + config +
+                R"("wakeups_total":0,"batched_iterations":0,)"
+                R"("batch_rejects":{"addr_progression":0,"liveness_gate":0,)"
+                R"("snapshot_mismatch":0,"vl_tail":0,"grant_change":0},)"
+                R"("batch_clamps":0,"warmup_projected":0,)"
+                R"("stall_cycles":{"issue_pressure":0,"raw_dependency":0,)"
+                R"("structural_unit":0,"mem_latency":0,"mem_bandwidth":0,)"
+                R"("reduction_slide_latency":0,"drain_tail":0},)"
+                R"("fpu_busy_slots":0,)" +
+                tail);
+  ReportOptions live;
+  live.live_provenance = true;
+  EXPECT_EQ(json_record(r, live),
+            head + "3" + config +
+                R"("wakeups_total":1026,"batched_iterations":1027,)"
+                R"("batch_rejects":{"addr_progression":1028,"liveness_gate":1029,)"
+                R"("snapshot_mismatch":1030,"vl_tail":1031,"grant_change":1032},)"
+                R"("batch_clamps":1034,"warmup_projected":1033,)"
+                R"("stall_cycles":{"issue_pressure":1018,"raw_dependency":1019,)"
+                R"("structural_unit":1020,"mem_latency":1021,"mem_bandwidth":1022,)"
+                R"("reduction_slide_latency":1023,"drain_tail":1024},)"
+                R"("fpu_busy_slots":1025,)" +
+                tail);
+}
+
+TEST(Report, CsvRowMatchesGoldenBytes) {
+  const JobResult r = golden_result();
+  const std::string tail =
+      "araxl,2,4,8,8192,1,ok,1001,1005,0.0010029890269411226,"
+      "1.0039960039960041,1.3999999999999999,1.3633327500000001,"
+      "0.31865525487207402,1.4055944055944056,4.4110190687383755,"
+      "3.0000000000000003e-13,\"\"\n";
+  EXPECT_EQ(csv_row(r), "7,araxl:8,exp,64,42,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,"
+                        "0,0,0,0," + tail);
+  ReportOptions live;
+  live.live_provenance = true;
+  EXPECT_EQ(csv_row(r, live),
+            "7,araxl:8,exp,64,42,0,3,1026,1027,1028,1029,1030,1031,1032,"
+            "1034,1033,1018,1019,1020,1021,1022,1023,1024,1025," + tail);
+}
+
 // ---- runner: determinism across worker counts -------------------------------
 
 TEST(Runner, SweepReportsByteIdenticalFor1And8Workers) {

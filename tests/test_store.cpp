@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/contracts.hpp"
+#include "common/fmt.hpp"
 #include "driver/job.hpp"
 #include "driver/report.hpp"
 #include "driver/runner.hpp"
@@ -178,11 +179,67 @@ StoredResult sample_record(const char* kernel, std::uint64_t bpl,
   r.stats.stall_cycles[0] = 11;
   r.stats.stall_cycles[4] = 2222;
   r.stats.fpu_busy_slots = 424242;
+  r.stats.wakeups_total = 5150;
+  r.stats.batched_iterations = 640;
+  r.stats.batch_rejects[2] = 3;
+  r.stats.batch_clamps = 2;
+  r.stats.warmup_projected = 1;
   r.verified = true;
   r.tolerance = 1e-12;
   r.verify.checked = 512;
   r.verify.max_rel_err = 3.0000000000000004e-13;  // exercises %.17g round trip
   return r;
+}
+
+/// Every RunStats word set to a distinct non-zero value, so a dropped,
+/// swapped or zeroed field shows in the golden bytes below.
+RunStats every_word_stats() {
+  RunStats s;
+  s.cycles = 1001;
+  s.total_lanes = 1002;
+  s.vinstrs = 1003;
+  s.scalar_ops = 1004;
+  s.flops = 1005;
+  s.fpu_result_elems = 1006;
+  s.mem_read_bytes = 1007;
+  s.mem_write_bytes = 1008;
+  s.issue_stall_cycles = 1009;
+  s.scalar_wait_cycles = 1010;
+  for (std::size_t i = 0; i < kNumUnits; ++i) s.unit_busy_elems[i] = 1011 + i;
+  for (std::size_t i = 0; i < kNumStallReasons; ++i) s.stall_cycles[i] = 1018 + i;
+  s.fpu_busy_slots = 1025;
+  s.wakeups_total = 1026;
+  s.batched_iterations = 1027;
+  for (std::size_t i = 0; i < kNumBatchRejects; ++i) s.batch_rejects[i] = 1028 + i;
+  s.warmup_projected = 1033;
+  s.batch_clamps = 1034;
+  return s;
+}
+
+TEST(ResultStoreTest, SerializedLineMatchesGoldenBytes) {
+  // Pins the on-disk format itself: round-trip tests only compare one
+  // build with itself, so they cannot see a key rename or a reordering
+  // that would orphan every record already on disk.
+  StoredResult r = sample_record("exp", 64);
+  r.stats = every_word_stats();
+  const std::string expect =
+      R"({"fp":"46213340d7064a23692b7aad7b4a97be","version":"v-test",)"
+      R"("config":"cfg-v2;kind=araxl;clusters=2;lanes=4;groups=1;vlen=8192;)"
+      R"(mem=67108864;reqi=0;glsu=0;ring=0;fpu_lat=5;alu_lat=2;sldu_lat=3;)"
+      R"(load_lag=3;div=12;start=4;uq=4;sq=8;dcache=3;l2=12;red_step=4;)"
+      R"(red_add=8;wb=2",)"
+      R"("label":"araxl:8","kernel":"exp","bpl":64,"seed":42,)"
+      R"("stats":{"cycles":1001,"total_lanes":1002,"vinstrs":1003,)"
+      R"("scalar_ops":1004,"flops":1005,"fpu_result_elems":1006,)"
+      R"("mem_read_bytes":1007,"mem_write_bytes":1008,"issue_stall_cycles":1009,)"
+      R"("scalar_wait_cycles":1010,"unit_busy_elems":[1011,1012,1013,1014,1015,)"
+      R"(1016,1017],"wakeups_total":1026,"batched_iterations":1027,)"
+      R"("batch_rejects":[1028,1029,1030,1031,1032],"batch_clamps":1034,)"
+      R"("warmup_projected":1033,"stall_cycles":[1018,1019,1020,1021,1022,1023,)"
+      R"(1024],"fpu_busy_slots":1025},"verified":true,)"
+      R"("tolerance":9.9999999999999998e-13,"checked":512,)"
+      R"("max_rel_err":3.0000000000000003e-13,"check":"081cc2cc0bf3065e"})";
+  EXPECT_EQ(ResultStore::serialize(r), expect);
 }
 
 TEST(ResultStoreTest, RoundTripsThroughDisk) {
@@ -259,6 +316,63 @@ TEST(ResultStoreTest, LoadSkipsCorruptTruncatedAndTamperedLines) {
   EXPECT_TRUE(store.find(sample_record("softmax", 64).fingerprint).has_value());
   // The tampered jacobi2d entry must be recomputed, i.e. not served.
   EXPECT_FALSE(store.find(sample_record("jacobi2d", 64).fingerprint).has_value());
+  std::remove(path.c_str());
+}
+
+/// Re-seals a hand-edited record body (no `check` field) with a valid
+/// checksum, the way an older build would have written it.
+std::string with_checksum(std::string body) {
+  const std::string check = strprintf(
+      "%016llx", static_cast<unsigned long long>(hash64(body)));
+  body.insert(body.size() - 1, ",\"check\":\"" + check + "\"");
+  return body;
+}
+
+/// `line` without its trailing `,"check":"..."` field.
+std::string unsealed(const std::string& line) {
+  const std::size_t at = line.rfind(",\"check\":");
+  return line.substr(0, at) + "}";
+}
+
+TEST(ResultStoreTest, PreTelemetryRecordsLoadWithZeroTelemetry) {
+  // A record from before the engine telemetry and the stall taxonomy:
+  // everything from wakeups_total to the end of "stats" is absent. Those
+  // fields read as 0; a missing seed-era field (cycles) is a bad line.
+  const StoredResult full = sample_record("exp", 64);
+  const std::string body = unsealed(ResultStore::serialize(full));
+  const std::size_t from = body.find(",\"wakeups_total\":");
+  ASSERT_NE(from, std::string::npos);
+  std::string old_body = body;
+  old_body.erase(from, body.find('}', from) - from);
+  ASSERT_EQ(old_body.find("\"stall_cycles\""), std::string::npos);
+  const std::string old_line = with_checksum(old_body);
+
+  const StoredResult back = ResultStore::deserialize(old_line);
+  RunStats expect = full.stats;
+  expect.wakeups_total = expect.batched_iterations = 0;
+  expect.batch_rejects = {};
+  expect.batch_clamps = expect.warmup_projected = 0;
+  expect.stall_cycles = {};
+  expect.fpu_busy_slots = 0;
+  EXPECT_TRUE(back.stats == expect);
+  EXPECT_EQ(back.stats.wakeups_total, 0u);
+  EXPECT_EQ(back.stats.batched_iterations, 0u);
+  EXPECT_EQ(back.stats.batch_rejects, expect.batch_rejects);
+  EXPECT_EQ(back.stats.batch_clamps, 0u);
+  EXPECT_EQ(back.stats.warmup_projected, 0u);
+
+  std::string no_cycles = old_body;
+  const std::size_t c = no_cycles.find("\"cycles\":12345,");
+  ASSERT_NE(c, std::string::npos);
+  no_cycles.erase(c, std::string("\"cycles\":12345,").size());
+  const std::string path = temp_path("pretelemetry");
+  {
+    std::ofstream f(path, std::ios::binary | std::ios::trunc);
+    f << old_line << "\n" << with_checksum(no_cycles) << "\n";
+  }
+  ResultStore store(path);
+  EXPECT_EQ(store.load_report().loaded, 1u);
+  EXPECT_EQ(store.load_report().bad_lines, 1u);
   std::remove(path.c_str());
 }
 
