@@ -21,8 +21,8 @@ using namespace araxl;
 int main(int argc, char** argv) {
   const bool quick = bench::has_flag(argc, argv, "--quick");
   bench::print_header("Ablation: cluster shape (clusters x lanes) at 64 lanes",
-                      "design-choice study (DESIGN.md); paper fixes 4-lane "
-                      "clusters");
+                      "design-choice study (README, Modeling notes); "
+                      "paper fixes 4-lane clusters");
 
   const std::uint64_t bpl = quick ? 128 : 512;
 

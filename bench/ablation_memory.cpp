@@ -18,7 +18,8 @@ using namespace araxl;
 int main(int argc, char** argv) {
   const bool quick = bench::has_flag(argc, argv, "--quick");
   bench::print_header("Ablation: L2 latency tolerance vs vector length",
-                      "design-choice study (DESIGN.md); extends paper Fig. 7a");
+                      "design-choice study (README, Modeling notes); "
+                      "extends paper Fig. 7a");
 
   const std::vector<unsigned> latencies =
       quick ? std::vector<unsigned>{12, 96} : std::vector<unsigned>{12, 24, 48, 96};

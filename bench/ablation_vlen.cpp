@@ -15,7 +15,8 @@ using namespace araxl;
 
 int main(int, char**) {
   bench::print_header("Ablation: VLEN (register length) at fixed datapath",
-                      "design-choice study (DESIGN.md); extends paper SIV-B");
+                      "design-choice study (README, Modeling notes); "
+                      "extends paper SIV-B");
 
   const std::vector<std::uint64_t> vlens = {65536, 32768, 16384, 8192, 4096};
 

@@ -469,7 +469,8 @@ void stalls_artifacts(const Dataset& ds, std::vector<Artifact>& arts) {
     csv += g.label + "," + g.kernel + "," +
            fnum(static_cast<double>(g.busy) / u);
     for (std::size_t i = 0; i < kNumStallReasons; ++i) {
-      csv += "," + fnum(static_cast<double>(g.stalls[i]) / u);
+      csv += ',';
+      csv += fnum(static_cast<double>(g.stalls[i]) / u);
     }
     csv += "\n";
   }
@@ -609,31 +610,10 @@ Dataset dataset_from_json_report(std::string_view doc,
     row.bytes_per_lane = rec.get("bytes_per_lane")->as_u64();
     row.seed = rec.get("seed")->as_u64();
     row.vlen_bits = cfg->get("vlen_bits")->as_u64();
+    // Default reports carry deterministic zeros for the opt-in fields;
+    // --provenance reports carry the live values.
+    row.stats = store::read_stats_fields(*stats, store::StatsForm::kReport);
     row.stats.total_lanes = cfg->get("total_lanes")->as_u64();
-    row.stats.cycles = stats->get("cycles")->as_u64();
-    row.stats.flops = stats->get("flops")->as_u64();
-    row.stats.fpu_result_elems = stats->get("fpu_result_elems")->as_u64();
-    if (const store::JsonValue* st = stats->get("stall_cycles")) {
-      for (std::size_t i = 0; i < kNumStallReasons; ++i) {
-        const store::JsonValue* v =
-            st->get(stall_reason_name(static_cast<StallReason>(i)));
-        if (v != nullptr) row.stats.stall_cycles[i] = v->as_u64();
-      }
-    }
-    if (const store::JsonValue* v = stats->get("fpu_busy_slots")) {
-      row.stats.fpu_busy_slots = v->as_u64();
-    }
-    // Batching provenance: present (and nonzero) only in --provenance
-    // reports; default reports carry deterministic zeros.
-    if (const store::JsonValue* v = stats->get("batched_iterations")) {
-      row.stats.batched_iterations = v->as_u64();
-    }
-    if (const store::JsonValue* v = stats->get("batch_clamps")) {
-      row.stats.batch_clamps = v->as_u64();
-    }
-    if (const store::JsonValue* v = stats->get("warmup_projected")) {
-      row.stats.warmup_projected = v->as_u64();
-    }
     row.freq_ghz = ppa->get("freq_ghz")->as_double();
     row.area_mm2 = ppa->get("area_mm2")->as_double();
     row.power_w = ppa->get("power_w")->as_double();

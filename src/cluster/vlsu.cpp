@@ -7,17 +7,4 @@ bool elementwise_mem_op(Op op) {
          op == Op::kVsuxei;
 }
 
-unsigned vlsu_lane_for_element(const VrfMapping& map, std::uint64_t idx) {
-  return map.lane_of(idx);
-}
-
-std::uint64_t vlsu_lane_byte_share(const VrfMapping& map, std::uint64_t vl,
-                                   unsigned ew, unsigned cluster, unsigned lane) {
-  std::uint64_t elems = 0;
-  for (std::uint64_t i = lane; i < vl; i += map.topology().lanes) {
-    if (map.cluster_of(i) == cluster) ++elems;
-  }
-  return elems * ew;
-}
-
 }  // namespace araxl

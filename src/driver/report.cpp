@@ -71,60 +71,14 @@ std::string config_json(const Job& job) {
   return out;
 }
 
+// The opt-in fields (engine provenance, and the stall taxonomy, which is an
+// exact measurement but kept out of the default report's stable surface)
+// are zeroed unless live_provenance; the store persists the live values.
 std::string stats_json(const RunStats& s, const ReportOptions& opts) {
   std::string out = "{";
-  out += "\"cycles\":" + unum(s.cycles) + ",";
-  out += "\"vinstrs\":" + unum(s.vinstrs) + ",";
-  out += "\"scalar_ops\":" + unum(s.scalar_ops) + ",";
-  out += "\"flops\":" + unum(s.flops) + ",";
-  out += "\"fpu_result_elems\":" + unum(s.fpu_result_elems) + ",";
-  out += "\"mem_read_bytes\":" + unum(s.mem_read_bytes) + ",";
-  out += "\"mem_write_bytes\":" + unum(s.mem_write_bytes) + ",";
-  out += "\"issue_stall_cycles\":" + unum(s.issue_stall_cycles) + ",";
-  out += "\"scalar_wait_cycles\":" + unum(s.scalar_wait_cycles) + ",";
-  out += "\"unit_busy_elems\":{";
-  for (std::size_t u = 0; u < kNumUnits; ++u) {
-    if (u != 0) out += ",";
-    out += '"';
-    out += unit_name(static_cast<Unit>(u));
-    out += "\":";
-    out += unum(s.unit_busy_elems[u]);
-  }
-  out += "},";
-  out += "\"wakeups_total\":" + unum(opts.live_provenance ? s.wakeups_total : 0) + ",";
-  out += "\"batched_iterations\":" +
-         unum(opts.live_provenance ? s.batched_iterations : 0) + ",";
-  // Typed batching-rejection counters: provenance like batched_iterations
-  // (the oracle never attempts batching; replays would drift), so zeroed
-  // unless live_provenance.
-  out += "\"batch_rejects\":{";
-  for (std::size_t i = 0; i < kNumBatchRejects; ++i) {
-    if (i != 0) out += ",";
-    out += '"';
-    out += batch_reject_name(static_cast<BatchReject>(i));
-    out += "\":";
-    out += unum(opts.live_provenance ? s.batch_rejects[i] : 0);
-  }
-  out += "},";
-  out += "\"batch_clamps\":" + unum(opts.live_provenance ? s.batch_clamps : 0) + ",";
-  out += "\"warmup_projected\":" +
-         unum(opts.live_provenance ? s.warmup_projected : 0) + ",";
-  // Stall taxonomy: exact measurements (bit-identical across engines and
-  // batching), but reported like provenance — zeroed by default so the
-  // default-report surface stays a stable, minimal contract. The store
-  // persists the live values; `araxl report` reads them from there.
-  out += "\"stall_cycles\":{";
-  for (std::size_t i = 0; i < kNumStallReasons; ++i) {
-    if (i != 0) out += ",";
-    out += '"';
-    out += stall_reason_name(static_cast<StallReason>(i));
-    out += "\":";
-    out += unum(opts.live_provenance ? s.stall_cycles[i] : 0);
-  }
-  out += "},";
-  out += "\"fpu_busy_slots\":" +
-         unum(opts.live_provenance ? s.fpu_busy_slots : 0) + ",";
-  out += "\"fpu_util\":" + fnum(s.fpu_util()) + ",";
+  store::append_stats_fields(out, s, store::StatsForm::kReport,
+                             !opts.live_provenance);
+  out += ",\"fpu_util\":" + fnum(s.fpu_util()) + ",";
   out += "\"flop_per_cycle\":" + fnum(s.flop_per_cycle());
   out += "}";
   return out;
@@ -191,18 +145,20 @@ std::string to_json(const std::vector<JobResult>& results,
 }
 
 std::string csv_header() {
-  return
-      "index,config,kernel,bytes_per_lane,seed,cache_hit,attempts,"
-      "wakeups_total,"
-      "batched_iterations,"
-      "reject_addr_progression,reject_liveness_gate,reject_snapshot_mismatch,"
-      "reject_vl_tail,reject_grant_change,batch_clamps,warmup_projected,"
-      "stall_issue_pressure,stall_raw_dependency,stall_structural_unit,"
-      "stall_mem_latency,stall_mem_bandwidth,stall_reduction_slide_latency,"
-      "stall_drain_tail,fpu_busy_slots,kind,clusters,"
-      "lanes_per_cluster,"
-      "total_lanes,vlen_bits,ok,status,cycles,flops,fpu_util,flop_per_cycle,"
-      "freq_ghz,area_mm2,power_w,gflops,gflops_per_w,max_rel_err,error\n";
+  std::string out = "index,config,kernel,bytes_per_lane,seed,cache_hit,attempts,";
+  for (const StatField& f : kRunStatsFields) {
+    if (!f.opt_in()) continue;
+    for (std::size_t i = 0; i < f.count; ++i) {
+      out += f.csv_prefix;
+      out += f.word_name(i);
+      out += ',';
+    }
+  }
+  out +=
+      "kind,clusters,lanes_per_cluster,total_lanes,vlen_bits,ok,status,cycles,"
+      "flops,fpu_util,flop_per_cycle,freq_ghz,area_mm2,power_w,gflops,"
+      "gflops_per_w,max_rel_err,error\n";
+  return out;
 }
 
 std::string csv_row(const JobResult& r, const ReportOptions& opts) {
@@ -216,17 +172,13 @@ std::string csv_row(const JobResult& r, const ReportOptions& opts) {
     out += unum(r.job.seed) + ",";
     out += (opts.live_cache_flags && r.cache_hit) ? "1," : "0,";
     out += unum(opts.live_provenance ? r.attempts : 0) + ",";
-    out += unum(opts.live_provenance ? r.stats.wakeups_total : 0) + ",";
-    out += unum(opts.live_provenance ? r.stats.batched_iterations : 0) + ",";
-    for (std::size_t i = 0; i < kNumBatchRejects; ++i) {
-      out += unum(opts.live_provenance ? r.stats.batch_rejects[i] : 0) + ",";
+    for (const StatField& f : kRunStatsFields) {
+      if (!f.opt_in()) continue;
+      for (const std::uint64_t v : f.words(r.stats)) {
+        out += unum(opts.live_provenance ? v : 0);
+        out += ',';
+      }
     }
-    out += unum(opts.live_provenance ? r.stats.batch_clamps : 0) + ",";
-    out += unum(opts.live_provenance ? r.stats.warmup_projected : 0) + ",";
-    for (std::size_t i = 0; i < kNumStallReasons; ++i) {
-      out += unum(opts.live_provenance ? r.stats.stall_cycles[i] : 0) + ",";
-    }
-    out += unum(opts.live_provenance ? r.stats.fpu_busy_slots : 0) + ",";
     out += std::string(kind_name(c.kind)) + ",";
     out += unum(c.topo.total_clusters()) + ",";
     out += unum(c.topo.lanes) + ",";

@@ -6,8 +6,8 @@
 // reconstruction of 2^k, with overflow/underflow handled by compare masks
 // and merges — the "basic mask operations" the paper attributes to exp.
 // Instruction mix per element: 20 FPU-busy slots carrying 30 DP-FLOP
-// (the paper's own exp kernel reports 21 slots / 28 FLOP; see
-// EXPERIMENTS.md for the accounting difference).
+// (the paper's own exp kernel reports 21 slots / 28 FLOP; see README,
+// "Modeling notes", for the accounting difference).
 #ifndef ARAXL_KERNELS_EXP_CORE_HPP
 #define ARAXL_KERNELS_EXP_CORE_HPP
 

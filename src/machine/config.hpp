@@ -91,8 +91,8 @@ struct MachineConfig {
   [[nodiscard]] InterconnectSpec interconnect() const;
 
   /// Memory bandwidth per direction (read and write channels are separate):
-  /// 8 bytes/lane/cycle, i.e. 64-bit per lane (see DESIGN.md §3 on the
-  /// Fig. 2 label discrepancy).
+  /// 8 bytes/lane/cycle, i.e. 64-bit per lane (see README, "Modeling
+  /// notes").
   [[nodiscard]] std::uint64_t mem_bytes_per_cycle() const {
     return 8ull * total_lanes();
   }

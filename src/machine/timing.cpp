@@ -64,23 +64,17 @@ void EngineInstruments::bind(obs::MetricsRegistry* reg) {
     unit_stall[u] = reg->counter(base + ".stall_cycles");
     unit_idle[u] = reg->counter(base + ".idle_cycles");
   }
-  for (std::size_t r = 0; r < kNumBatchRejects; ++r) {
-    batch_reject[r] = reg->counter(
-        "engine.batch.reject." +
-        std::string(batch_reject_name(static_cast<BatchReject>(r))));
-  }
-  for (std::size_t r = 0; r < kNumStallReasons; ++r) {
-    stall[r] = reg->counter(
-        "engine.stall." +
-        std::string(stall_reason_name(static_cast<StallReason>(r))));
+  std::size_t w = 0;
+  for (const StatField& f : kRunStatsFields) {
+    for (std::size_t i = 0; i < f.count; ++i, ++w) {
+      if (f.metric.empty()) continue;
+      std::string name(f.metric);
+      if (f.is_array()) name += f.elem_name(i);
+      stat[w] = reg->counter(name);
+    }
   }
   occupancy = reg->histogram("engine.inflight_occupancy");
   runs = reg->counter("engine.runs");
-  cycles = reg->counter("engine.cycles");
-  wakeups = reg->counter("engine.wakeups");
-  batched_iterations = reg->counter("engine.batched_iterations");
-  warmup_projected = reg->counter("engine.batch.warmup_projected");
-  batch_clamps = reg->counter("engine.batch.clamps");
 }
 
 void TimingEngine::metrics_account_units(Cycle t, Cycle span) {
@@ -121,19 +115,17 @@ void TimingEngine::metrics_end_run() {
   metrics_->occupancy->merge_counts(acc_occ_buckets_, acc_occ_count_,
                                     acc_occ_sum_, acc_occ_max_);
   metrics_->runs->inc();
-  metrics_->cycles->add(stats_.cycles);
-  metrics_->wakeups->add(stats_.wakeups_total);
-  metrics_->batched_iterations->add(stats_.batched_iterations);
-  metrics_->warmup_projected->add(stats_.warmup_projected);
-  metrics_->batch_clamps->add(stats_.batch_clamps);
-  // Stall metrics are folded from the finished RunStats instead of being
-  // added per charged sub-span: the per-slot path in attribute_piece is the
-  // hottest loop in the engine, and a registry test there erodes the
-  // metrics-overhead budget as instrumented sites grow. Folding here also
-  // covers the batched K× stall deltas, which never passed through
-  // attribute_piece at all.
-  for (std::size_t r = 0; r < kNumStallReasons; ++r) {
-    metrics_->stall[r]->add(stats_.stall_cycles[r]);
+  // RunStats-mirroring metrics are folded from the finished RunStats instead
+  // of being added where the counters move: the per-slot stall path in
+  // attribute_piece is the hottest loop in the engine, and a registry test
+  // there erodes the metrics-overhead budget as instrumented sites grow.
+  // Folding here also covers the batched K× deltas, which never passed
+  // through attribute_piece at all.
+  std::size_t w = 0;
+  for (const StatField& f : kRunStatsFields) {
+    for (const std::uint64_t v : f.words(stats_)) {
+      if (obs::Counter* c = metrics_->stat[w++]) c->add(v);
+    }
   }
   // An engine can be driven through run() more than once (differential
   // tests); the accumulators are per-run, so clear them after folding.
@@ -147,7 +139,6 @@ void TimingEngine::metrics_end_run() {
 void TimingEngine::count_batch_reject(BatchReject r, Cycle t) {
   const auto idx = static_cast<std::size_t>(r);
   ++stats_.batch_rejects[idx];
-  if (metrics_ != nullptr) metrics_->batch_reject[idx]->inc();
   if (trace_ != nullptr) trace_->mark(t, SimMarkerKind::kBatchReject, idx);
 }
 

@@ -67,15 +67,11 @@ struct EngineInstruments {
   std::array<obs::Counter*, kNumUnits> unit_busy{};
   std::array<obs::Counter*, kNumUnits> unit_stall{};
   std::array<obs::Counter*, kNumUnits> unit_idle{};
-  std::array<obs::Counter*, kNumBatchRejects> batch_reject{};
-  std::array<obs::Counter*, kNumStallReasons> stall{};
+  /// One counter per RunStats word whose kRunStatsFields row names a
+  /// metric (nullptr for the rest), indexed by word in table order.
+  std::array<obs::Counter*, kRunStatsWords> stat{};
   obs::Histogram* occupancy = nullptr;
   obs::Counter* runs = nullptr;
-  obs::Counter* cycles = nullptr;
-  obs::Counter* wakeups = nullptr;
-  obs::Counter* batched_iterations = nullptr;
-  obs::Counter* warmup_projected = nullptr;
-  obs::Counter* batch_clamps = nullptr;
 };
 
 class TimingEngine {

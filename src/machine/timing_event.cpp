@@ -1341,29 +1341,18 @@ void TimingEngine::apply_batch(const LoopRegion& r, std::uint64_t k, Cycle d,
   pc_ = b2 + dp;
   next_id_ = id2 + di;
 
-  // 4. K copies of the recorded per-window stat deltas.
-  const RunStats& s0 = ckpt_.stats;
-  stats_.vinstrs += k * (stats_.vinstrs - s0.vinstrs);
-  stats_.scalar_ops += k * (stats_.scalar_ops - s0.scalar_ops);
-  stats_.flops += k * (stats_.flops - s0.flops);
-  stats_.fpu_result_elems += k * (stats_.fpu_result_elems - s0.fpu_result_elems);
-  stats_.mem_read_bytes += k * (stats_.mem_read_bytes - s0.mem_read_bytes);
-  stats_.mem_write_bytes += k * (stats_.mem_write_bytes - s0.mem_write_bytes);
-  stats_.issue_stall_cycles +=
-      k * (stats_.issue_stall_cycles - s0.issue_stall_cycles);
-  stats_.scalar_wait_cycles +=
-      k * (stats_.scalar_wait_cycles - s0.scalar_wait_cycles);
-  for (std::size_t u = 0; u < kNumUnits; ++u) {
-    stats_.unit_busy_elems[u] += k * (stats_.unit_busy_elems[u] - s0.unit_busy_elems[u]);
+  // 4. K copies of the recorded per-window deltas of every measurement
+  // word. Stall attribution rides along: it is computed in-band with the
+  // machine's evolution, so the recorded window's per-reason deltas repeat
+  // exactly — "batched iterations multiply deltas by exactly K" is the
+  // contract the equivalence fuzzers pin down. `cycles` and `total_lanes`
+  // are set at run end and start, so their mid-run delta is 0.
+  for (const StatField& f : kRunStatsFields) {
+    if (!f.measurement()) continue;
+    const auto now = f.words(stats_);
+    const auto before = f.words(ckpt_.stats);
+    for (std::size_t i = 0; i < f.count; ++i) now[i] += k * (now[i] - before[i]);
   }
-  // Stall attribution rides along: it is computed in-band with the machine's
-  // evolution, so the recorded window's per-reason deltas repeat exactly —
-  // "batched iterations multiply deltas by exactly K" is the contract the
-  // equivalence fuzzers pin down.
-  for (std::size_t r2 = 0; r2 < kNumStallReasons; ++r2) {
-    stats_.stall_cycles[r2] += k * (stats_.stall_cycles[r2] - s0.stall_cycles[r2]);
-  }
-  stats_.fpu_busy_slots += k * (stats_.fpu_busy_slots - s0.fpu_busy_slots);
   // A super-period holds several loop-body iterations; count those.
   const std::uint64_t iters = k * loop_iters_per_period_[loop_region_idx_];
   stats_.batched_iterations += iters;

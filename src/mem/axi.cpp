@@ -37,9 +37,14 @@ std::vector<AxiBurst> split_bursts(std::uint64_t addr, std::uint64_t len_bytes,
 
 std::uint64_t total_beats(std::uint64_t addr, std::uint64_t len_bytes,
                           std::uint64_t bus_bytes) {
-  std::uint64_t beats = 0;
-  for (const auto& b : split_bursts(addr, len_bytes, bus_bytes)) beats += b.beats;
-  return beats;
+  check(is_pow2(bus_bytes), "bus width must be a power of two");
+  if (len_bytes == 0) return 0;
+  // Both widths are powers of two, so the finer one's grid contains the
+  // coarser one's: a bus no wider than a page puts every page cut on a
+  // bus-word edge (the bursts' beats tile the bus-aligned span), and a
+  // wider bus moves each page's burst in one beat (one beat per page).
+  const std::uint64_t grain = std::min(bus_bytes, kAxiPage);
+  return (align_up(addr + len_bytes, grain) - align_down(addr, grain)) / grain;
 }
 
 }  // namespace araxl

@@ -77,7 +77,10 @@ std::string MetricsRegistry::to_json() const {
   std::string out = "{";
   for (std::size_t i = 0; i < entries.size(); ++i) {
     if (i != 0) out += ",";
-    out += "\"" + store::json_escape(entries[i].name) + "\":" + entries[i].body;
+    out += '"';
+    out += store::json_escape(entries[i].name);
+    out += "\":";
+    out += entries[i].body;
   }
   out += "}";
   return out;

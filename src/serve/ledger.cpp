@@ -96,13 +96,17 @@ std::string serialize_header(const LedgerSpec& spec) {
   out += "\"configs\":[";
   for (std::size_t i = 0; i < spec.configs.size(); ++i) {
     if (i != 0) out += ",";
-    out += "\"" + json_escape(spec.configs[i]) + "\"";
+    out += '"';
+    out += json_escape(spec.configs[i]);
+    out += '"';
   }
   out += "],";
   out += "\"kernels\":[";
   for (std::size_t i = 0; i < spec.kernels.size(); ++i) {
     if (i != 0) out += ",";
-    out += "\"" + json_escape(spec.kernels[i]) + "\"";
+    out += '"';
+    out += json_escape(spec.kernels[i]);
+    out += '"';
   }
   out += "],";
   out += "\"bpl\":[";

@@ -5,16 +5,21 @@
 #ifndef ARAXL_SIM_STATS_HPP
 #define ARAXL_SIM_STATS_HPP
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <utility>
 
 #include "sim/cycle.hpp"
 
 namespace araxl {
 
 /// Execution units of a vector cluster (aggregated machine-wide by the
-/// timing engine; see DESIGN.md §3).
+/// timing engine; see README, "Modeling notes").
 enum class Unit : std::uint8_t {
   kNone = 0,  // vsetvli and other non-executing ops
   kFpu,       // FMA-capable floating-point pipeline (one per lane)
@@ -35,8 +40,10 @@ std::string_view unit_name(Unit u);
 /// one of these, which is the diagnosis interface for "batched_iterations
 /// is 0 on this row" (see `araxl stats` and the trace markers).
 enum class BatchReject : std::uint8_t {
-  kAddrProgression = 0,  ///< a mem op's addresses break the single
-                         ///< arithmetic-progression gate inside the region
+  kAddrProgression = 0,  ///< a mem op's address walk breaks its per-op
+                         ///< arithmetic progression at a boundary that is
+                         ///< not a nested-loop row end (counted once per
+                         ///< region; row ends clamp instead: batch_clamps)
   kLivenessGate,         ///< an in-flight op is still < 1 period into the
                          ///< region, so no whole iteration can retire
   kSnapshotMismatch,     ///< consecutive period-boundary snapshots differ
@@ -155,27 +162,145 @@ struct RunStats {
   /// Multi-line human-readable dump (used by examples).
   [[nodiscard]] std::string summary() const;
 
-  /// Field-wise equality over the *measurement* counters: the event-driven
-  /// engine must reproduce the cycle-stepped oracle's counters bit for bit
-  /// (differential tests). The provenance counters (wakeups_total,
-  /// batched_iterations) legitimately differ between engines and are not
-  /// compared.
-  friend bool operator==(const RunStats& a, const RunStats& b) {
-    return a.cycles == b.cycles && a.total_lanes == b.total_lanes &&
-           a.vinstrs == b.vinstrs && a.scalar_ops == b.scalar_ops &&
-           a.flops == b.flops && a.fpu_result_elems == b.fpu_result_elems &&
-           a.mem_read_bytes == b.mem_read_bytes &&
-           a.mem_write_bytes == b.mem_write_bytes &&
-           a.issue_stall_cycles == b.issue_stall_cycles &&
-           a.scalar_wait_cycles == b.scalar_wait_cycles &&
-           a.unit_busy_elems == b.unit_busy_elems &&
-           a.stall_cycles == b.stall_cycles &&
-           a.fpu_busy_slots == b.fpu_busy_slots;
+  /// Equality over the *measurement* words of kRunStatsFields: the
+  /// event-driven engine must reproduce the cycle-stepped oracle's counters
+  /// bit for bit (differential tests). The provenance words (wakeups_total,
+  /// batched_iterations, batch_rejects, batch_clamps, warmup_projected)
+  /// legitimately differ between engines and are not compared.
+  friend bool operator==(const RunStats& a, const RunStats& b);
+};
+
+/// Number of 64-bit words in a RunStats (34 today).
+inline constexpr std::size_t kRunStatsWords = sizeof(RunStats) / sizeof(std::uint64_t);
+
+// ---- the field table ---------------------------------------------------------
+// Every serializer, reader, operator== and the batched K-times delta loop
+// over kRunStatsFields instead of naming members, so adding a counter is one
+// member plus one row. The rows are in report order: the store line, the
+// report JSON "stats" object, the report CSV provenance block and
+// `araxl stats --csv` each emit a filter of it.
+
+/// Facts about one RunStats member (bits of StatField::flags).
+enum StatFlag : unsigned {
+  /// How the run was simulated, not what it did: outside operator== and
+  /// the batched delta (the oracle and the event engine differ here).
+  kStatProvenance = 1u << 0,
+  /// Reports write 0 unless --provenance (ReportOptions::live_provenance),
+  /// so warm/cold, sharded and oracle reports stay `cmp`-identical.
+  kStatOptIn = 1u << 1,
+  /// Newer than the seed schema: a reader takes a missing key as 0 (older
+  /// records lack it). Other fields are required.
+  kStatTolerant = 1u << 2,
+  /// Persisted in the store but absent from the report "stats" object
+  /// (the report carries it in "config").
+  kStatStoreOnly = 1u << 3,
+};
+
+/// One RunStats member: a scalar word or a fixed array of words.
+struct StatField {
+  std::string_view key;  ///< JSON key; also the CSV column of a scalar
+  std::span<std::uint64_t> (*words_of)(RunStats&);
+  std::size_t count;  ///< words per record (1 for a scalar)
+  /// Element names of an array member (nullptr for a scalar): the JSON
+  /// object keys in reports, the CSV column suffixes after `csv_prefix`.
+  std::string_view (*elem_name)(std::size_t);
+  std::string_view csv_prefix;
+  /// Metrics-registry counter fed at run end ("" = not mirrored); for an
+  /// array, the prefix the element name is appended to.
+  std::string_view metric;
+  unsigned flags;
+
+  [[nodiscard]] bool measurement() const { return (flags & kStatProvenance) == 0; }
+  [[nodiscard]] bool opt_in() const { return (flags & kStatOptIn) != 0; }
+  [[nodiscard]] bool tolerant() const { return (flags & kStatTolerant) != 0; }
+  [[nodiscard]] bool in_report() const { return (flags & kStatStoreOnly) == 0; }
+  [[nodiscard]] bool is_array() const { return elem_name != nullptr; }
+
+  [[nodiscard]] std::span<std::uint64_t> words(RunStats& s) const { return words_of(s); }
+  [[nodiscard]] std::span<const std::uint64_t> words(const RunStats& s) const {
+    return words_of(const_cast<RunStats&>(s));  // read-only view
   }
-  friend bool operator!=(const RunStats& a, const RunStats& b) {
-    return !(a == b);
+  /// Name of word `i`: the element name of an array, else the key.
+  [[nodiscard]] std::string_view word_name(std::size_t i) const {
+    return is_array() ? elem_name(i) : key;
   }
 };
+
+template <auto M>
+std::span<std::uint64_t> stat_words(RunStats& s) {
+  auto& m = s.*M;
+  if constexpr (std::is_same_v<std::remove_cvref_t<decltype(m)>, std::uint64_t>) {
+    return {&m, 1};
+  } else {
+    return m;
+  }
+}
+
+/// Row of member `M`; an array member also gives its element names and the
+/// CSV column prefix they follow.
+template <auto M>
+constexpr StatField stat_field(std::string_view key, unsigned flags,
+                               std::string_view metric = {},
+                               std::string_view (*elem_name)(std::size_t) = nullptr,
+                               std::string_view csv_prefix = {}) {
+  return {key,       &stat_words<M>,
+          sizeof(std::declval<RunStats&>().*M) / sizeof(std::uint64_t),
+          elem_name, csv_prefix, metric, flags};
+}
+
+template <class E, std::string_view (*Name)(E)>
+std::string_view stat_elem_name(std::size_t i) {
+  return Name(static_cast<E>(i));
+}
+
+/// Engine telemetry: provenance, opt-in, and absent from older records.
+inline constexpr unsigned kStatTelemetry = kStatProvenance | kStatOptIn | kStatTolerant;
+
+inline constexpr std::array kRunStatsFields = {
+    stat_field<&RunStats::cycles>("cycles", 0, "engine.cycles"),
+    stat_field<&RunStats::total_lanes>("total_lanes", kStatStoreOnly),
+    stat_field<&RunStats::vinstrs>("vinstrs", 0),
+    stat_field<&RunStats::scalar_ops>("scalar_ops", 0),
+    stat_field<&RunStats::flops>("flops", 0),
+    stat_field<&RunStats::fpu_result_elems>("fpu_result_elems", 0),
+    stat_field<&RunStats::mem_read_bytes>("mem_read_bytes", 0),
+    stat_field<&RunStats::mem_write_bytes>("mem_write_bytes", 0),
+    stat_field<&RunStats::issue_stall_cycles>("issue_stall_cycles", 0),
+    stat_field<&RunStats::scalar_wait_cycles>("scalar_wait_cycles", 0),
+    stat_field<&RunStats::unit_busy_elems>("unit_busy_elems", 0, {},
+                                           stat_elem_name<Unit, unit_name>),
+    stat_field<&RunStats::wakeups_total>("wakeups_total", kStatTelemetry,
+                                         "engine.wakeups"),
+    stat_field<&RunStats::batched_iterations>("batched_iterations", kStatTelemetry,
+                                              "engine.batched_iterations"),
+    stat_field<&RunStats::batch_rejects>(
+        "batch_rejects", kStatTelemetry, "engine.batch.reject.",
+        stat_elem_name<BatchReject, batch_reject_name>, "reject_"),
+    stat_field<&RunStats::batch_clamps>("batch_clamps", kStatTelemetry,
+                                        "engine.batch.clamps"),
+    stat_field<&RunStats::warmup_projected>("warmup_projected", kStatTelemetry,
+                                            "engine.batch.warmup_projected"),
+    stat_field<&RunStats::stall_cycles>(
+        "stall_cycles", kStatOptIn | kStatTolerant, "engine.stall.",
+        stat_elem_name<StallReason, stall_reason_name>, "stall_"),
+    stat_field<&RunStats::fpu_busy_slots>("fpu_busy_slots", kStatOptIn | kStatTolerant),
+};
+
+// A RunStats member without a row fails here (like kConfigSchemaVersion's
+// tripwire): every word must be serialized, read and compared somewhere.
+static_assert(
+    [] {
+      std::size_t n = 0;
+      for (const StatField& f : kRunStatsFields) n += f.count;
+      return n;
+    }() == kRunStatsWords,
+    "every RunStats word needs a kRunStatsFields row");
+
+inline bool operator==(const RunStats& a, const RunStats& b) {
+  return std::ranges::all_of(kRunStatsFields, [&](const StatField& f) {
+    return !f.measurement() || std::ranges::equal(f.words(a), f.words(b));
+  });
+}
 
 }  // namespace araxl
 

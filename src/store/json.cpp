@@ -240,6 +240,65 @@ std::string json_u64(std::uint64_t v) {
 
 std::string json_double(double v) { return strprintf("%.17g", v); }
 
+void append_stats_fields(std::string& out, const RunStats& s, StatsForm form,
+                         bool zero_opt_in) {
+  const bool named = form == StatsForm::kReport;
+  bool first = true;
+  for (const StatField& f : kRunStatsFields) {
+    if (named && !f.in_report()) continue;
+    if (!first) out += ',';
+    first = false;
+    out += '"';
+    out += f.key;
+    out += "\":";
+    const bool zero = zero_opt_in && f.opt_in();
+    const auto w = f.words(s);
+    if (!f.is_array()) {
+      out += json_u64(zero ? 0 : w[0]);
+      continue;
+    }
+    out += named ? '{' : '[';
+    for (std::size_t i = 0; i < f.count; ++i) {
+      if (i != 0) out += ',';
+      if (named) {
+        out += '"';
+        out += f.elem_name(i);
+        out += "\":";
+      }
+      out += json_u64(zero ? 0 : w[i]);
+    }
+    out += named ? '}' : ']';
+  }
+}
+
+RunStats read_stats_fields(const JsonValue& obj, StatsForm form) {
+  const bool named = form == StatsForm::kReport;
+  RunStats s;
+  for (const StatField& f : kRunStatsFields) {
+    if (named && !f.in_report()) continue;
+    const JsonValue* v = obj.get(f.key);
+    if (v == nullptr) {
+      if (!f.tolerant()) {
+        fail("record is missing stats field '" + std::string(f.key) + "'");
+      }
+      continue;
+    }
+    const auto w = f.words(s);
+    if (!f.is_array()) {
+      w[0] = v->as_u64();
+    } else if (named) {
+      for (std::size_t i = 0; i < f.count; ++i) {
+        if (const JsonValue* e = v->get(f.elem_name(i))) w[i] = e->as_u64();
+      }
+    } else {
+      check(v->kind == JsonValue::Kind::kArray && v->items.size() == f.count,
+            "record has a malformed stats array");
+      for (std::size_t i = 0; i < f.count; ++i) w[i] = v->items[i].as_u64();
+    }
+  }
+  return s;
+}
+
 std::string json_escape(std::string_view s) {
   std::string out;
   out.reserve(s.size() + 2);

@@ -15,6 +15,8 @@
 #include <utility>
 #include <vector>
 
+#include "sim/stats.hpp"
+
 namespace araxl::store {
 
 /// One parsed JSON value. Numbers are kept as raw text and converted on
@@ -54,6 +56,24 @@ struct JsonValue {
 [[nodiscard]] std::string json_u64(std::uint64_t v);
 /// %.17g — deterministic for a given double, exact on re-parse.
 [[nodiscard]] std::string json_double(double v);
+
+/// The two spellings of a RunStats object, both one loop over
+/// kRunStatsFields (sim/stats.hpp).
+enum class StatsForm : std::uint8_t {
+  kStore,   ///< every field; arrays as [v,...] lists
+  kReport,  ///< all but store-only fields; arrays as {"name":v,...} objects
+};
+
+/// Appends the fields of `s` as comma-joined `"key":value` pairs (no
+/// braces). `zero_opt_in` writes 0 for the opt-in fields (default reports).
+void append_stats_fields(std::string& out, const RunStats& s, StatsForm form,
+                         bool zero_opt_in = false);
+
+/// Reads what append_stats_fields wrote from the object `obj`. A missing
+/// tolerant field (or report array element) reads as 0; a missing required
+/// field or a malformed store array throws ContractViolation. Store-only
+/// fields stay 0 in kReport.
+[[nodiscard]] RunStats read_stats_fields(const JsonValue& obj, StatsForm form);
 
 }  // namespace araxl::store
 

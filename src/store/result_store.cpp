@@ -25,31 +25,10 @@ std::string unum(std::uint64_t v) { return json_u64(v); }
 
 constexpr std::string_view kCheckMarker = ",\"check\":\"";
 
-std::uint64_t field_u64(const JsonValue& obj, std::string_view key) {
+const JsonValue& field(const JsonValue& obj, std::string_view key) {
   const JsonValue* v = obj.get(key);
-  check(v != nullptr, "store record is missing field '" + std::string(key) + "'");
-  return v->as_u64();
-}
-
-double field_double(const JsonValue& obj, std::string_view key) {
-  const JsonValue* v = obj.get(key);
-  check(v != nullptr, "store record is missing field '" + std::string(key) + "'");
-  return v->as_double();
-}
-
-std::string field_string(const JsonValue& obj, std::string_view key) {
-  const JsonValue* v = obj.get(key);
-  check(v != nullptr, "store record is missing field '" + std::string(key) + "'");
-  return v->as_string();
-}
-
-// Tolerant accessor for fields added after the seed schema: records written
-// by older builds simply lack them, and 0 is the correct reading (no schema
-// bump — the fingerprint already embeds the build version for keying).
-std::uint64_t field_u64_or(const JsonValue& obj, std::string_view key,
-                           std::uint64_t dflt) {
-  const JsonValue* v = obj.get(key);
-  return v == nullptr ? dflt : v->as_u64();
+  if (v == nullptr) fail("store record is missing field '" + std::string(key) + "'");
+  return *v;
 }
 
 }  // namespace
@@ -63,46 +42,11 @@ std::string ResultStore::serialize(const StoredResult& r) {
   out += "\"kernel\":\"" + json_escape(r.kernel) + "\",";
   out += "\"bpl\":" + unum(r.bytes_per_lane) + ",";
   out += "\"seed\":" + unum(r.seed) + ",";
+  // Every RunStats word, provenance and stall taxonomy included: default
+  // reports zero those, but `araxl stats` and `araxl report` read them back
+  // from here without re-simulating.
   out += "\"stats\":{";
-  out += "\"cycles\":" + unum(r.stats.cycles) + ",";
-  out += "\"total_lanes\":" + unum(r.stats.total_lanes) + ",";
-  out += "\"vinstrs\":" + unum(r.stats.vinstrs) + ",";
-  out += "\"scalar_ops\":" + unum(r.stats.scalar_ops) + ",";
-  out += "\"flops\":" + unum(r.stats.flops) + ",";
-  out += "\"fpu_result_elems\":" + unum(r.stats.fpu_result_elems) + ",";
-  out += "\"mem_read_bytes\":" + unum(r.stats.mem_read_bytes) + ",";
-  out += "\"mem_write_bytes\":" + unum(r.stats.mem_write_bytes) + ",";
-  out += "\"issue_stall_cycles\":" + unum(r.stats.issue_stall_cycles) + ",";
-  out += "\"scalar_wait_cycles\":" + unum(r.stats.scalar_wait_cycles) + ",";
-  out += "\"unit_busy_elems\":[";
-  for (std::size_t u = 0; u < kNumUnits; ++u) {
-    if (u != 0) out += ",";
-    out += unum(r.stats.unit_busy_elems[u]);
-  }
-  out += "],";
-  // Provenance fields (excluded from RunStats::operator== and zeroed in
-  // default reports, but persisted so `araxl stats` can roll up batching
-  // telemetry from a finished sweep without re-simulating).
-  out += "\"wakeups_total\":" + unum(r.stats.wakeups_total) + ",";
-  out += "\"batched_iterations\":" + unum(r.stats.batched_iterations) + ",";
-  out += "\"batch_rejects\":[";
-  for (std::size_t i = 0; i < kNumBatchRejects; ++i) {
-    if (i != 0) out += ",";
-    out += unum(r.stats.batch_rejects[i]);
-  }
-  out += "],";
-  out += "\"batch_clamps\":" + unum(r.stats.batch_clamps) + ",";
-  out += "\"warmup_projected\":" + unum(r.stats.warmup_projected) + ",";
-  // Stall taxonomy (indexed by StallReason): the real attribution is
-  // persisted so `araxl report` / `araxl stats` can break down a sweep
-  // from the store even though default reports zero these fields.
-  out += "\"stall_cycles\":[";
-  for (std::size_t i = 0; i < kNumStallReasons; ++i) {
-    if (i != 0) out += ",";
-    out += unum(r.stats.stall_cycles[i]);
-  }
-  out += "],";
-  out += "\"fpu_busy_slots\":" + unum(r.stats.fpu_busy_slots);
+  append_stats_fields(out, r.stats, StatsForm::kStore);
   out += "},";
   out += std::string("\"verified\":") + (r.verified ? "true" : "false") + ",";
   out += "\"tolerance\":" + fnum(r.tolerance) + ",";
@@ -125,70 +69,27 @@ StoredResult ResultStore::deserialize(std::string_view line) {
   std::string body(line.substr(0, marker));
   body += "}";
   const JsonValue doc = parse_json(line);
-  const std::string& stored_check = field_string(doc, "check");
+  const std::string& stored_check = field(doc, "check").as_string();
   const std::string computed = strprintf(
       "%016llx", static_cast<unsigned long long>(hash64(body)));
   check(stored_check == computed, "store record checksum mismatch");
 
   StoredResult r;
-  r.fingerprint = field_string(doc, "fp");
-  r.version = field_string(doc, "version");
-  r.config = field_string(doc, "config");
-  r.label = field_string(doc, "label");
-  r.kernel = field_string(doc, "kernel");
-  r.bytes_per_lane = field_u64(doc, "bpl");
-  r.seed = field_u64(doc, "seed");
+  r.fingerprint = field(doc, "fp").as_string();
+  r.version = field(doc, "version").as_string();
+  r.config = field(doc, "config").as_string();
+  r.label = field(doc, "label").as_string();
+  r.kernel = field(doc, "kernel").as_string();
+  r.bytes_per_lane = field(doc, "bpl").as_u64();
+  r.seed = field(doc, "seed").as_u64();
 
-  const JsonValue* stats = doc.get("stats");
-  check(stats != nullptr, "store record is missing stats");
-  r.stats.cycles = field_u64(*stats, "cycles");
-  r.stats.total_lanes = field_u64(*stats, "total_lanes");
-  r.stats.vinstrs = field_u64(*stats, "vinstrs");
-  r.stats.scalar_ops = field_u64(*stats, "scalar_ops");
-  r.stats.flops = field_u64(*stats, "flops");
-  r.stats.fpu_result_elems = field_u64(*stats, "fpu_result_elems");
-  r.stats.mem_read_bytes = field_u64(*stats, "mem_read_bytes");
-  r.stats.mem_write_bytes = field_u64(*stats, "mem_write_bytes");
-  r.stats.issue_stall_cycles = field_u64(*stats, "issue_stall_cycles");
-  r.stats.scalar_wait_cycles = field_u64(*stats, "scalar_wait_cycles");
-  const JsonValue* busy = stats->get("unit_busy_elems");
-  check(busy != nullptr && busy->kind == JsonValue::Kind::kArray &&
-            busy->items.size() == kNumUnits,
-        "store record has a malformed unit_busy_elems array");
-  for (std::size_t u = 0; u < kNumUnits; ++u) {
-    r.stats.unit_busy_elems[u] = busy->items[u].as_u64();
-  }
-  r.stats.wakeups_total = field_u64_or(*stats, "wakeups_total", 0);
-  r.stats.batched_iterations = field_u64_or(*stats, "batched_iterations", 0);
-  if (const JsonValue* rej = stats->get("batch_rejects")) {
-    check(rej->kind == JsonValue::Kind::kArray &&
-              rej->items.size() == kNumBatchRejects,
-          "store record has a malformed batch_rejects array");
-    for (std::size_t i = 0; i < kNumBatchRejects; ++i) {
-      r.stats.batch_rejects[i] = rej->items[i].as_u64();
-    }
-  }
-  // Pre-clamp/projection records simply lack these; zero is the correct
-  // reading (those engines never clamped at a barrier or projected warmup).
-  r.stats.batch_clamps = field_u64_or(*stats, "batch_clamps", 0);
-  r.stats.warmup_projected = field_u64_or(*stats, "warmup_projected", 0);
-  // Pre-attribution records simply lack these; zero is the correct reading.
-  if (const JsonValue* st = stats->get("stall_cycles")) {
-    check(st->kind == JsonValue::Kind::kArray &&
-              st->items.size() == kNumStallReasons,
-          "store record has a malformed stall_cycles array");
-    for (std::size_t i = 0; i < kNumStallReasons; ++i) {
-      r.stats.stall_cycles[i] = st->items[i].as_u64();
-    }
-  }
-  r.stats.fpu_busy_slots = field_u64_or(*stats, "fpu_busy_slots", 0);
-
-  const JsonValue* verified = doc.get("verified");
-  check(verified != nullptr, "store record is missing 'verified'");
-  r.verified = verified->as_bool();
-  r.tolerance = field_double(doc, "tolerance");
-  r.verify.checked = field_u64(doc, "checked");
-  r.verify.max_rel_err = field_double(doc, "max_rel_err");
+  // Fields newer than the seed schema read as 0 from older records (no
+  // schema bump: the fingerprint already embeds the build version).
+  r.stats = read_stats_fields(field(doc, "stats"), StatsForm::kStore);
+  r.verified = field(doc, "verified").as_bool();
+  r.tolerance = field(doc, "tolerance").as_double();
+  r.verify.checked = field(doc, "checked").as_u64();
+  r.verify.max_rel_err = field(doc, "max_rel_err").as_double();
 
   // Finally, the stored fingerprint must match one recomputed from the
   // record's own provenance — a tampered key field (or a record written

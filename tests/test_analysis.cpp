@@ -10,6 +10,7 @@
 
 #include "analysis/analysis.hpp"
 #include "analysis/svg.hpp"
+#include "common/contracts.hpp"
 #include "driver/job.hpp"
 #include "driver/report.hpp"
 #include "driver/runner.hpp"
@@ -203,6 +204,35 @@ TEST(Analysis, JsonReportPathConsumesDriverOutput) {
   EXPECT_GT(ds.rows[0].area_mm2, 0.0);
   const std::vector<Artifact> arts = build_report(ds);
   EXPECT_EQ(arts.size(), 12u);
+}
+
+TEST(Analysis, JsonReportReaderToleratesPreTelemetryRecords) {
+  // A default report from before the engine telemetry and the stall
+  // taxonomy: "stats" ends at unit_busy_elems. The missing fields read as
+  // 0; a record without a seed-era field (cycles) is rejected.
+  driver::JobResult r;
+  r.job.config_label = "araxl:8";
+  r.job.cfg = MachineConfig::araxl(8);
+  r.job.kernel = "fdotproduct";
+  r.ok = true;
+  r.stats.cycles = 1000;
+  r.stats.total_lanes = 8;
+  r.stats.vinstrs = 40;
+  r.stats.flops = 4000;
+  r.stats.fpu_result_elems = 2000;
+  r.stats.unit_busy_elems[1] = 2000;
+  std::string doc = driver::to_json({r});
+  const std::size_t from = doc.find(R"(,"wakeups_total":)");
+  doc.erase(from, doc.find(R"(,"fpu_util":)") - from);
+  ASSERT_EQ(doc.find(R"("stall_cycles")"), std::string::npos);
+
+  const Dataset ds = analysis::dataset_from_json_report(doc, RowFilter{});
+  ASSERT_EQ(ds.rows.size(), 1u);
+  EXPECT_TRUE(ds.rows[0].stats == r.stats);
+
+  doc.erase(doc.find(R"("cycles":1000,)"), std::string_view(R"("cycles":1000,)").size());
+  EXPECT_THROW((void)analysis::dataset_from_json_report(doc, RowFilter{}),
+               ContractViolation);
 }
 
 TEST(Analysis, SvgEscapeHandlesMarkup) {

@@ -1,9 +1,13 @@
 // Tests for the experiment-driver subsystem (src/driver/): kernel
 // registry coverage, sweep expansion, thread-pooled execution with
 // worker-count-independent results, golden-verifier enforcement, failure
-// isolation, and degenerate (vl==0 / tiny-AVL) jobs.
+// isolation, degenerate (vl==0 / tiny-AVL) jobs, and the reporters'
+// golden bytes.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstring>
+#include <numeric>
 #include <set>
 
 #include "common/contracts.hpp"
@@ -143,9 +147,8 @@ TEST(ConfigSpec, ParsesShapesAndKnobs) {
 
 // ---- reporters: golden bytes ------------------------------------------------
 
-/// A finished job whose every RunStats word holds a distinct non-zero value
-/// and whose provenance (cache_hit, attempts) is live, so the golden rows
-/// below show both which fields a report carries and which it zeroes.
+/// A finished job with live provenance (cache_hit, attempts), so the golden
+/// rows below show both which fields a report carries and which it zeroes.
 JobResult golden_result() {
   JobResult r;
   r.job.index = 7;
@@ -155,25 +158,11 @@ JobResult golden_result() {
   r.job.bytes_per_lane = 64;
   r.job.seed = 42;
   r.ok = true;
-  RunStats& s = r.stats;
-  s.cycles = 1001;
-  s.total_lanes = 1002;
-  s.vinstrs = 1003;
-  s.scalar_ops = 1004;
-  s.flops = 1005;
-  s.fpu_result_elems = 1006;
-  s.mem_read_bytes = 1007;
-  s.mem_write_bytes = 1008;
-  s.issue_stall_cycles = 1009;
-  s.scalar_wait_cycles = 1010;
-  for (std::size_t i = 0; i < kNumUnits; ++i) s.unit_busy_elems[i] = 1011 + i;
-  for (std::size_t i = 0; i < kNumStallReasons; ++i) s.stall_cycles[i] = 1018 + i;
-  s.fpu_busy_slots = 1025;
-  s.wakeups_total = 1026;
-  s.batched_iterations = 1027;
-  for (std::size_t i = 0; i < kNumBatchRejects; ++i) s.batch_rejects[i] = 1028 + i;
-  s.warmup_projected = 1033;
-  s.batch_clamps = 1034;
+  // Every RunStats word distinct and non-zero: 1001, 1002, ... in member
+  // order.
+  std::array<std::uint64_t, sizeof(RunStats) / sizeof(std::uint64_t)> words{};
+  std::iota(words.begin(), words.end(), 1001);
+  std::memcpy(&r.stats, words.data(), sizeof(r.stats));
   r.verified = true;
   r.tolerance = 1e-12;
   r.verify.checked = 512;

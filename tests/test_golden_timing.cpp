@@ -1,10 +1,10 @@
 // Golden cycle-count regression tests.
 //
-// The bench results in EXPERIMENTS.md depend on the calibrated timing
-// model; these tests pin exact cycle counts of representative programs so
-// that any change to the issue path, chaining, memory pipeline, or
-// reduction schedule is a *conscious* recalibration (update the constants
-// here and re-derive EXPERIMENTS.md), never an accident.
+// The figure benches under bench/ depend on the calibrated timing model;
+// these tests pin exact cycle counts of representative programs so that
+// any change to the issue path, chaining, memory pipeline, or reduction
+// schedule is a *conscious* recalibration (update the constants here and
+// re-run the figure benches), never an accident.
 #include <gtest/gtest.h>
 
 #include "kernels/common.hpp"

@@ -1,11 +1,8 @@
 // Unit tests: component models — REQI, GLSU, RINGI, lane group, sequencer
-// rules, per-cluster VLSU/SLDU/MASKU helpers, CVA6 cost model, machine
-// configuration.
+// rules, the VLSU access predicate, CVA6 cost model, machine configuration.
 #include <gtest/gtest.h>
 
-#include "cluster/masku.hpp"
 #include "cluster/sequencer.hpp"
-#include "cluster/sldu.hpp"
 #include "cluster/vlsu.hpp"
 #include "common/contracts.hpp"
 #include "interconnect/glsu.hpp"
@@ -362,42 +359,6 @@ TEST(Vlsu, ElementwisePredicate) {
   EXPECT_FALSE(elementwise_mem_op(Op::kVse));
   EXPECT_TRUE(elementwise_mem_op(Op::kVlse));
   EXPECT_TRUE(elementwise_mem_op(Op::kVluxei));
-}
-
-TEST(Vlsu, LaneSharesBalanced) {
-  const VrfMapping map(Topology{4, 4}, 16384);
-  const std::uint64_t vl = 256;
-  // Every lane of every cluster receives exactly vl/(L*C) elements when vl
-  // is a multiple of the machine width.
-  for (unsigned c = 0; c < 4; ++c) {
-    for (unsigned l = 0; l < 4; ++l) {
-      EXPECT_EQ(vlsu_lane_byte_share(map, vl, 8, c, l), vl / 16 * 8);
-    }
-  }
-}
-
-TEST(Sldu, Slide1RemoteFraction) {
-  // For slide-by-1 down, element i sources i+1, which lives in another
-  // cluster exactly when i is the last lane of a cluster row: 1/L of all
-  // elements.
-  const VrfMapping map(Topology{4, 4}, 16384);
-  const std::uint64_t vl = 256;
-  EXPECT_EQ(slide_remote_elems(map, 1, vl), vl / 4 - 1);  // minus final fill
-}
-
-TEST(Sldu, IntraClusterSlideHasNoRemote) {
-  // With a single cluster (Ara2 topology) nothing is remote.
-  const VrfMapping map(Topology{1, 8}, 8192);
-  EXPECT_EQ(slide_remote_elems(map, 1, 256), 0u);
-  EXPECT_EQ(slide_remote_elems(map, 5, 256), 0u);
-}
-
-TEST(Masku, LaneLocalLayoutMovesNothing) {
-  const VrfMapping map(Topology{4, 4}, 16384);
-  EXPECT_EQ(masku_bits_to_move(map, MaskLayout::kLaneLocal, 256), 0u);
-  const std::uint64_t moved = masku_bits_to_move(map, MaskLayout::kStandard, 256);
-  EXPECT_GT(moved, 200u);  // nearly all bits cross lanes in the RVV layout
-  EXPECT_EQ(masku_distribution_cycles(moved), (moved + 63) / 64);
 }
 
 TEST(Cva6, ScalarCosts) {

@@ -96,8 +96,8 @@ TEST(KernelPrograms, ExpMixMatchesDocumentedAccounting) {
   const OpCounts c = count_ops(p);
   const std::uint64_t strips = c.vsetvli;  // one vsetvli per strip
   ASSERT_GT(strips, 0u);
-  // kExpFpuSlots FPU-busy instructions per strip (EXPERIMENTS.md: ours is
-  // 20 slots / 30 FLOP vs the paper's 21/28).
+  // kExpFpuSlots FPU-busy instructions per strip (README, "Modeling
+  // notes": ours is 20 slots / 30 FLOP vs the paper's 21/28).
   EXPECT_EQ(c.fpu, strips * kExpFpuSlots);
   // FLOP accounting: kExpFlops per element.
   const double factor = k->max_perf_factor();

@@ -1,6 +1,7 @@
 // Unit tests: main memory and AXI burst decomposition.
 #include <gtest/gtest.h>
 
+#include "common/rng.hpp"
 #include "mem/axi.hpp"
 #include "mem/main_memory.hpp"
 
@@ -71,6 +72,26 @@ TEST(Axi, ZeroLength) {
 
 TEST(Axi, NonPow2BusRejected) {
   EXPECT_THROW(split_bursts(0, 64, 48), ContractViolation);
+  EXPECT_THROW((void)total_beats(0, 64, 48), ContractViolation);
+  EXPECT_THROW((void)total_beats(0, 64, 0), ContractViolation);
+}
+
+TEST(Axi, TotalBeatsMatchesSumOverBursts) {
+  // Differential check of the closed form against the burst split it
+  // summarizes: random addresses, lengths of 0 to 3 pages, every
+  // power-of-two bus from 8 B to 4 KiB (plus wider buses, where each
+  // page's burst is one beat).
+  Rng rng(0x5eed);
+  for (std::uint64_t bus = 8; bus <= 16384; bus *= 2) {
+    for (int i = 0; i < 2000; ++i) {
+      const std::uint64_t addr = rng.next_below(1ull << 20);
+      const std::uint64_t len = rng.next_below(3 * 4096 + 1);
+      std::uint64_t sum = 0;
+      for (const AxiBurst& b : split_bursts(addr, len, bus)) sum += b.beats;
+      ASSERT_EQ(total_beats(addr, len, bus), sum)
+          << "addr=" << addr << " len=" << len << " bus=" << bus;
+    }
+  }
 }
 
 TEST(Axi, BeatsCoverExactSpan) {

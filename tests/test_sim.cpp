@@ -2,6 +2,10 @@
 // EventHorizon/WakeupWatchdog, RunStats metrics).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstring>
+
 #include "sim/pipe.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/stats.hpp"
@@ -219,16 +223,39 @@ TEST(WakeupWatchdog, BatchedProgressCountsPerIteration) {
 }
 
 TEST(RunStats, EqualityComparesAllCounters) {
-  RunStats a;
-  a.cycles = 10;
-  a.flops = 5;
-  RunStats b = a;
-  EXPECT_TRUE(a == b);
-  b.issue_stall_cycles = 1;
-  EXPECT_TRUE(a != b);
-  b = a;
-  b.unit_busy_elems[2] = 7;
-  EXPECT_TRUE(a != b);
+  // Flip every word of the field table in turn: a measurement word must
+  // make the stats differ, a provenance word must not.
+  std::size_t provenance = 0;
+  for (const StatField& f : kRunStatsFields) {
+    for (std::size_t i = 0; i < f.count; ++i) {
+      RunStats a;
+      a.cycles = 10;
+      a.flops = 5;
+      RunStats b = a;
+      f.words(b)[i] ^= 1;
+      EXPECT_EQ(a == b, !f.measurement()) << f.key << "[" << i << "]";
+      EXPECT_EQ(a != b, f.measurement()) << f.key << "[" << i << "]";
+      if (!f.measurement()) ++provenance;
+    }
+  }
+  // wakeups_total, batched_iterations, 5 batch_rejects, batch_clamps,
+  // warmup_projected.
+  EXPECT_EQ(provenance, 4 + kNumBatchRejects);
+}
+
+TEST(RunStats, FieldTableCoversEveryWordOnce) {
+  // The static_assert counts words; this checks that the rows address
+  // distinct members, so no member hides behind a duplicated row.
+  RunStats s;
+  std::uint64_t next = 1;
+  for (const StatField& f : kRunStatsFields) {
+    for (std::uint64_t& w : f.words(s)) w = next++;
+  }
+  std::array<std::uint64_t, kRunStatsWords> raw{};
+  static_assert(sizeof(raw) == sizeof(s));
+  std::memcpy(raw.data(), &s, sizeof(s));
+  std::sort(raw.begin(), raw.end());
+  for (std::size_t i = 0; i < raw.size(); ++i) EXPECT_EQ(raw[i], i + 1);
 }
 
 TEST(RunStats, UtilAndFlops) {

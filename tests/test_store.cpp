@@ -3,9 +3,13 @@
 // runner's cache consultation, and shard/merge determinism.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -191,28 +195,14 @@ StoredResult sample_record(const char* kernel, std::uint64_t bpl,
   return r;
 }
 
-/// Every RunStats word set to a distinct non-zero value, so a dropped,
-/// swapped or zeroed field shows in the golden bytes below.
+/// Every RunStats word set to a distinct non-zero value (1001, 1002, ... in
+/// member order), so a dropped, swapped or zeroed field shows in the golden
+/// bytes below.
 RunStats every_word_stats() {
+  std::array<std::uint64_t, sizeof(RunStats) / sizeof(std::uint64_t)> words{};
+  std::iota(words.begin(), words.end(), 1001);
   RunStats s;
-  s.cycles = 1001;
-  s.total_lanes = 1002;
-  s.vinstrs = 1003;
-  s.scalar_ops = 1004;
-  s.flops = 1005;
-  s.fpu_result_elems = 1006;
-  s.mem_read_bytes = 1007;
-  s.mem_write_bytes = 1008;
-  s.issue_stall_cycles = 1009;
-  s.scalar_wait_cycles = 1010;
-  for (std::size_t i = 0; i < kNumUnits; ++i) s.unit_busy_elems[i] = 1011 + i;
-  for (std::size_t i = 0; i < kNumStallReasons; ++i) s.stall_cycles[i] = 1018 + i;
-  s.fpu_busy_slots = 1025;
-  s.wakeups_total = 1026;
-  s.batched_iterations = 1027;
-  for (std::size_t i = 0; i < kNumBatchRejects; ++i) s.batch_rejects[i] = 1028 + i;
-  s.warmup_projected = 1033;
-  s.batch_clamps = 1034;
+  std::memcpy(&s, words.data(), sizeof(s));
   return s;
 }
 
@@ -242,6 +232,14 @@ TEST(ResultStoreTest, SerializedLineMatchesGoldenBytes) {
   EXPECT_EQ(ResultStore::serialize(r), expect);
 }
 
+/// Every word of `a` and `b` agrees, provenance included (operator==
+/// compares measurements only).
+void expect_same_words(const RunStats& a, const RunStats& b) {
+  for (const StatField& f : kRunStatsFields) {
+    EXPECT_TRUE(std::ranges::equal(f.words(a), f.words(b))) << f.key;
+  }
+}
+
 TEST(ResultStoreTest, RoundTripsThroughDisk) {
   const std::string path = temp_path("roundtrip");
   std::remove(path.c_str());
@@ -262,7 +260,7 @@ TEST(ResultStoreTest, RoundTripsThroughDisk) {
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->kernel, "exp");
   EXPECT_EQ(hit->label, "araxl:8");
-  EXPECT_TRUE(hit->stats == expect.stats);
+  expect_same_words(hit->stats, expect.stats);
   EXPECT_TRUE(hit->verified);
   EXPECT_EQ(hit->tolerance, expect.tolerance);
   EXPECT_EQ(hit->verify.checked, expect.verify.checked);
@@ -276,7 +274,7 @@ TEST(ResultStoreTest, SerializedLineRoundTripsExactly) {
   const std::string line = ResultStore::serialize(r);
   const StoredResult back = ResultStore::deserialize(line);
   EXPECT_EQ(ResultStore::serialize(back), line);
-  EXPECT_TRUE(back.stats == r.stats);
+  expect_same_words(back.stats, r.stats);
 }
 
 TEST(ResultStoreTest, LoadSkipsCorruptTruncatedAndTamperedLines) {
@@ -319,56 +317,36 @@ TEST(ResultStoreTest, LoadSkipsCorruptTruncatedAndTamperedLines) {
   std::remove(path.c_str());
 }
 
-/// Re-seals a hand-edited record body (no `check` field) with a valid
-/// checksum, the way an older build would have written it.
-std::string with_checksum(std::string body) {
+/// `line` with `cut` erased from its body and the checksum recomputed, the
+/// way an older build would have sealed it.
+std::string reseal_without(const std::string& line, std::string_view cut) {
+  std::string body = line.substr(0, line.rfind(R"(,"check":)")) + "}";
+  const std::size_t at = body.find(cut);
+  EXPECT_NE(at, std::string::npos) << cut;
+  body.erase(at, cut.size());
   const std::string check = strprintf(
       "%016llx", static_cast<unsigned long long>(hash64(body)));
-  body.insert(body.size() - 1, ",\"check\":\"" + check + "\"");
-  return body;
-}
-
-/// `line` without its trailing `,"check":"..."` field.
-std::string unsealed(const std::string& line) {
-  const std::size_t at = line.rfind(",\"check\":");
-  return line.substr(0, at) + "}";
+  return body.insert(body.size() - 1, R"(,"check":")" + check + "\"");
 }
 
 TEST(ResultStoreTest, PreTelemetryRecordsLoadWithZeroTelemetry) {
   // A record from before the engine telemetry and the stall taxonomy:
   // everything from wakeups_total to the end of "stats" is absent. Those
   // fields read as 0; a missing seed-era field (cycles) is a bad line.
-  const StoredResult full = sample_record("exp", 64);
-  const std::string body = unsealed(ResultStore::serialize(full));
-  const std::size_t from = body.find(",\"wakeups_total\":");
-  ASSERT_NE(from, std::string::npos);
-  std::string old_body = body;
-  old_body.erase(from, body.find('}', from) - from);
-  ASSERT_EQ(old_body.find("\"stall_cycles\""), std::string::npos);
-  const std::string old_line = with_checksum(old_body);
+  const std::string line = ResultStore::serialize(sample_record("exp", 64));
+  const std::size_t from = line.find(R"(,"wakeups_total":)");
+  const std::string telemetry = line.substr(from, line.find('}', from) - from);
+  const std::string old_line = reseal_without(line, telemetry);
+  RunStats expect = sample_record("exp", 64).stats;
+  for (const StatField& f : kRunStatsFields) {
+    if (f.tolerant()) std::ranges::fill(f.words(expect), 0);
+  }
+  expect_same_words(ResultStore::deserialize(old_line).stats, expect);
 
-  const StoredResult back = ResultStore::deserialize(old_line);
-  RunStats expect = full.stats;
-  expect.wakeups_total = expect.batched_iterations = 0;
-  expect.batch_rejects = {};
-  expect.batch_clamps = expect.warmup_projected = 0;
-  expect.stall_cycles = {};
-  expect.fpu_busy_slots = 0;
-  EXPECT_TRUE(back.stats == expect);
-  EXPECT_EQ(back.stats.wakeups_total, 0u);
-  EXPECT_EQ(back.stats.batched_iterations, 0u);
-  EXPECT_EQ(back.stats.batch_rejects, expect.batch_rejects);
-  EXPECT_EQ(back.stats.batch_clamps, 0u);
-  EXPECT_EQ(back.stats.warmup_projected, 0u);
-
-  std::string no_cycles = old_body;
-  const std::size_t c = no_cycles.find("\"cycles\":12345,");
-  ASSERT_NE(c, std::string::npos);
-  no_cycles.erase(c, std::string("\"cycles\":12345,").size());
   const std::string path = temp_path("pretelemetry");
   {
     std::ofstream f(path, std::ios::binary | std::ios::trunc);
-    f << old_line << "\n" << with_checksum(no_cycles) << "\n";
+    f << old_line << "\n" << reseal_without(old_line, R"("cycles":12345,)") << "\n";
   }
   ResultStore store(path);
   EXPECT_EQ(store.load_report().loaded, 1u);

@@ -744,18 +744,23 @@ int cmd_stats(const Args& args) {
 
   // --csv routes a machine-readable table (with the stall taxonomy, which
   // the human-readable table omits for width) to a file or stdout.
-  std::string csv =
-      "config,kernel,bytes_per_lane,seed,cycles,wakeups_total,"
-      "batched_iterations,batch_clamps,warmup_projected";
-  for (std::size_t i = 0; i < kNumBatchRejects; ++i) {
-    csv += ",reject_";
-    csv += batch_reject_name(static_cast<BatchReject>(i));
+  // Columns: cycles, then the opt-in fields of kRunStatsFields with the
+  // scalar provenance counters first (the same lead as the table above).
+  std::vector<std::pair<const StatField*, std::size_t>> csv_words;
+  for (const bool lead : {true, false}) {
+    for (const StatField& f : kRunStatsFields) {
+      const bool scalar_provenance = !f.measurement() && !f.is_array();
+      if (!f.opt_in() || scalar_provenance != lead) continue;
+      for (std::size_t i = 0; i < f.count; ++i) csv_words.emplace_back(&f, i);
+    }
   }
-  for (std::size_t i = 0; i < kNumStallReasons; ++i) {
-    csv += ",stall_";
-    csv += stall_reason_name(static_cast<StallReason>(i));
+  std::string csv = "config,kernel,bytes_per_lane,seed,cycles";
+  for (const auto& [f, i] : csv_words) {
+    csv += ',';
+    csv += f->csv_prefix;
+    csv += f->word_name(i);
   }
-  csv += ",fpu_busy_slots\n";
+  csv += '\n';
 
   std::size_t shown = 0;
   std::uint64_t total_batched = 0;
@@ -798,18 +803,12 @@ int cmd_stats(const Args& args) {
 
     csv += label + "," + r.kernel + "," + std::to_string(r.bytes_per_lane) +
            "," + std::to_string(r.seed) + "," +
-           std::to_string(r.stats.cycles) + "," +
-           std::to_string(r.stats.wakeups_total) + "," +
-           std::to_string(r.stats.batched_iterations) + "," +
-           std::to_string(r.stats.batch_clamps) + "," +
-           std::to_string(r.stats.warmup_projected);
-    for (std::size_t i = 0; i < kNumBatchRejects; ++i) {
-      csv += "," + std::to_string(r.stats.batch_rejects[i]);
+           std::to_string(r.stats.cycles);
+    for (const auto& [f, i] : csv_words) {
+      csv += ',';
+      csv += std::to_string(f->words(r.stats)[i]);
     }
-    for (std::size_t i = 0; i < kNumStallReasons; ++i) {
-      csv += "," + std::to_string(r.stats.stall_cycles[i]);
-    }
-    csv += "," + std::to_string(r.stats.fpu_busy_slots) + "\n";
+    csv += '\n';
   }
   if (shown > 1) {
     table.add_rule();
