@@ -177,8 +177,8 @@ inline constexpr std::size_t kRunStatsWords = sizeof(RunStats) / sizeof(std::uin
 // Every serializer, reader, operator== and the batched K-times delta loop
 // over kRunStatsFields instead of naming members, so adding a counter is one
 // member plus one row. The rows are in report order: the store line, the
-// report JSON "stats" object, the report CSV provenance block and
-// `araxl stats --csv` each emit a filter of it.
+// report JSON "stats" object and the report CSV opt-in block each emit a
+// filter of it (`araxl stats --csv` lists the scalar provenance rows first).
 
 /// Facts about one RunStats member (bits of StatField::flags).
 enum StatFlag : unsigned {
