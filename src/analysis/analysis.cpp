@@ -562,6 +562,19 @@ void soa_artifacts(const Dataset& ds, std::vector<Artifact>& arts) {
   arts.push_back({"soa_landscape.svg", plot.render()});
 }
 
+/// `obj[key]`, or a ContractViolation naming the missing `parent.key`.
+const store::JsonValue& member(const store::JsonValue& obj,
+                               std::string_view parent, std::string_view key) {
+  const store::JsonValue* v = obj.get(key);
+  if (v == nullptr) {
+    std::string path(parent);
+    if (!path.empty()) path += '.';
+    path += key;
+    fail("report record is missing '" + path + "'");
+  }
+  return *v;
+}
+
 }  // namespace
 
 Dataset dataset_from_store(const std::vector<store::StoredResult>& entries,
@@ -604,21 +617,21 @@ Dataset dataset_from_json_report(std::string_view doc,
     check(cfg != nullptr && stats != nullptr && ppa != nullptr,
           "report record is missing config/stats/ppa");
     Row row;
-    row.label = cfg->get("label")->as_string();
-    row.family = cfg->get("kind")->as_string();
-    row.kernel = rec.get("kernel")->as_string();
-    row.bytes_per_lane = rec.get("bytes_per_lane")->as_u64();
-    row.seed = rec.get("seed")->as_u64();
-    row.vlen_bits = cfg->get("vlen_bits")->as_u64();
+    row.label = member(*cfg, "config", "label").as_string();
+    row.family = member(*cfg, "config", "kind").as_string();
+    row.kernel = member(rec, "", "kernel").as_string();
+    row.bytes_per_lane = member(rec, "", "bytes_per_lane").as_u64();
+    row.seed = member(rec, "", "seed").as_u64();
+    row.vlen_bits = member(*cfg, "config", "vlen_bits").as_u64();
     // Default reports carry deterministic zeros for the opt-in fields;
     // --provenance reports carry the live values.
     row.stats = store::read_stats_fields(*stats, store::StatsForm::kReport);
-    row.stats.total_lanes = cfg->get("total_lanes")->as_u64();
-    row.freq_ghz = ppa->get("freq_ghz")->as_double();
-    row.area_mm2 = ppa->get("area_mm2")->as_double();
-    row.power_w = ppa->get("power_w")->as_double();
-    row.gflops = ppa->get("gflops")->as_double();
-    row.gflops_per_w = ppa->get("gflops_per_w")->as_double();
+    row.stats.total_lanes = member(*cfg, "config", "total_lanes").as_u64();
+    row.freq_ghz = member(*ppa, "ppa", "freq_ghz").as_double();
+    row.area_mm2 = member(*ppa, "ppa", "area_mm2").as_double();
+    row.power_w = member(*ppa, "ppa", "power_w").as_double();
+    row.gflops = member(*ppa, "ppa", "gflops").as_double();
+    row.gflops_per_w = member(*ppa, "ppa", "gflops_per_w").as_double();
     row.gflops_per_mm2 =
         row.area_mm2 > 0.0 ? row.gflops / row.area_mm2 : 0.0;
     if (!filter_accepts(filter, row)) continue;

@@ -10,7 +10,6 @@
 
 #include "common/contracts.hpp"
 #include "common/faults.hpp"
-#include "common/fmt.hpp"
 #include "store/fingerprint.hpp"
 #include "store/json.hpp"
 
@@ -18,14 +17,7 @@ namespace araxl::serve {
 
 namespace {
 
-constexpr std::string_view kCheckMarker = ",\"check\":\"";
-
-std::string with_check(std::string line) {
-  const std::string check = strprintf(
-      "%016llx", static_cast<unsigned long long>(store::hash64(line)));
-  line.insert(line.size() - 1, std::string(kCheckMarker) + check + "\"");
-  return line;
-}
+using store::with_check;
 
 std::uint64_t field_u64(const store::JsonValue& obj, std::string_view key) {
   const store::JsonValue* v = obj.get(key);
@@ -98,15 +90,11 @@ std::string serialize_lease(const Lease& lease) {
 
 Lease parse_lease(std::string_view line) {
   const store::JsonValue doc = store::parse_json(line);
-  const std::size_t marker = line.rfind(kCheckMarker);
-  check(marker != std::string_view::npos, "lease has no checksum");
-  std::string body(line.substr(0, marker));
-  body += "}";
+  const std::optional<std::string> computed = store::expected_check(line);
+  check(computed.has_value(), "lease has no checksum");
   const store::JsonValue* stored = doc.get("check");
   check(stored != nullptr, "lease has no checksum");
-  const std::string computed = strprintf(
-      "%016llx", static_cast<unsigned long long>(store::hash64(body)));
-  check(stored->as_string() == computed, "lease checksum mismatch");
+  check(stored->as_string() == *computed, "lease checksum mismatch");
   Lease lease;
   lease.job = field_u64(doc, "job");
   const store::JsonValue* worker = doc.get("worker");

@@ -19,28 +19,17 @@ using store::json_escape;
 using store::JsonValue;
 using store::parse_json;
 
-// Same checksummed-line discipline as the result store: the line ends in
-// `,"check":"<16-hex hash64>"` over the text with the check spliced out.
-constexpr std::string_view kCheckMarker = ",\"check\":\"";
-
-std::string with_check(std::string line) {
-  const std::string check = strprintf(
-      "%016llx", static_cast<unsigned long long>(store::hash64(line)));
-  line.insert(line.size() - 1, std::string(kCheckMarker) + check + "\"");
-  return line;
-}
+// Same checksummed-line discipline as the result store
+// (store::with_check / store::expected_check).
+using store::with_check;
 
 /// Verifies the trailing checksum; throws ContractViolation on mismatch.
 void verify_check(std::string_view line, const JsonValue& doc) {
-  const std::size_t marker = line.rfind(kCheckMarker);
-  check(marker != std::string_view::npos, "ledger line has no checksum");
-  std::string body(line.substr(0, marker));
-  body += "}";
+  const std::optional<std::string> computed = store::expected_check(line);
+  check(computed.has_value(), "ledger line has no checksum");
   const JsonValue* stored = doc.get("check");
   check(stored != nullptr, "ledger line has no checksum");
-  const std::string computed = strprintf(
-      "%016llx", static_cast<unsigned long long>(store::hash64(body)));
-  check(stored->as_string() == computed, "ledger line checksum mismatch");
+  check(stored->as_string() == *computed, "ledger line checksum mismatch");
 }
 
 std::uint64_t field_u64(const JsonValue& obj, std::string_view key) {

@@ -46,13 +46,36 @@ std::string canonical_config(const MachineConfig& cfg) {
   return out;
 }
 
-std::uint64_t hash64(std::string_view data, std::uint64_t basis_tweak) {
-  std::uint64_t h = 0xcbf29ce484222325ULL ^ basis_tweak;
+namespace {
+
+std::uint64_t fnv1a(std::uint64_t h, std::string_view data) {
   for (const char c : data) {
     h ^= static_cast<std::uint8_t>(c);
     h *= 0x100000001b3ULL;
   }
   return h;
+}
+
+std::string hex16(std::uint64_t h) {
+  return strprintf("%016llx", static_cast<unsigned long long>(h));
+}
+
+}  // namespace
+
+std::uint64_t hash64(std::string_view data, std::uint64_t basis_tweak) {
+  return fnv1a(0xcbf29ce484222325ULL ^ basis_tweak, data);
+}
+
+std::string with_check(std::string line) {
+  const std::string check = hex16(hash64(line));
+  line.insert(line.size() - 1, std::string(kCheckMarker) + check + "\"");
+  return line;
+}
+
+std::optional<std::string> expected_check(std::string_view line) {
+  const std::size_t marker = line.rfind(kCheckMarker);
+  if (marker == std::string_view::npos) return std::nullopt;
+  return hex16(fnv1a(hash64(line.substr(0, marker)), "}"));
 }
 
 std::string fingerprint(const JobKey& key) {

@@ -11,6 +11,7 @@
 #define ARAXL_STORE_FINGERPRINT_HPP
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -38,6 +39,19 @@ struct JobKey {
 /// checksums).
 [[nodiscard]] std::uint64_t hash64(std::string_view data,
                                    std::uint64_t basis_tweak = 0);
+
+// Checked lines (store records, ledger lines, leases) end in
+// `,"check":"<16 hex>"}`: the hash64 of the line with that field spliced
+// out, so a flipped byte anywhere in the line invalidates it.
+inline constexpr std::string_view kCheckMarker = ",\"check\":\"";
+
+/// Appends the check field to a one-line `{...}` object.
+[[nodiscard]] std::string with_check(std::string line);
+
+/// The check field `line` should carry, hashed over the line up to its
+/// last check marker followed by "}" (no spliced copy); nullopt when the
+/// line has no marker.
+[[nodiscard]] std::optional<std::string> expected_check(std::string_view line);
 
 /// Stable 128-bit fingerprint of a JobKey as 32 lowercase hex characters.
 [[nodiscard]] std::string fingerprint(const JobKey& key);

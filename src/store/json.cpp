@@ -1,8 +1,10 @@
 #include "store/json.hpp"
 
+#include <array>
 #include <cctype>
 #include <charconv>
 #include <cstdlib>
+#include <source_location>
 
 #include "common/contracts.hpp"
 #include "common/fmt.hpp"
@@ -11,6 +13,33 @@ namespace araxl::store {
 
 namespace {
 
+// The spellings strtod() consumes whole, over the characters number()
+// collects: [+-]? (D+ (. D*)? | . D+) ([eE] [+-]? D+)?
+bool strtod_spelling(std::string_view s) {
+  std::size_t i = 0;
+  const auto sign = [&] {
+    if (i < s.size() && (s[i] == '+' || s[i] == '-')) ++i;
+  };
+  const auto digits = [&] {
+    const std::size_t from = i;
+    while (i < s.size() && s[i] >= '0' && s[i] <= '9') ++i;
+    return i - from;
+  };
+  sign();
+  std::size_t mantissa = digits();
+  if (i < s.size() && s[i] == '.') {
+    ++i;
+    mantissa += digits();
+  }
+  if (mantissa == 0) return false;
+  if (i < s.size() && (s[i] == 'e' || s[i] == 'E')) {
+    ++i;
+    sign();
+    if (digits() == 0) return false;
+  }
+  return i == s.size();
+}
+
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
@@ -18,13 +47,24 @@ class Parser {
   JsonValue document() {
     JsonValue v = value();
     skip_ws();
-    check(pos_ == text_.size(), err("trailing characters after JSON value"));
+    need(pos_ == text_.size(), "trailing characters after JSON value");
     return v;
   }
 
  private:
-  [[nodiscard]] std::string err(const std::string& what) const {
-    return "JSON error at offset " + std::to_string(pos_) + ": " + what;
+  using Loc = std::source_location;
+
+  // Error text is built only on failure: need() runs once per character
+  // inside strings, so an eagerly formatted message would dominate a parse.
+  [[noreturn]] static void raise(std::size_t at, std::string_view what,
+                                 Loc loc = Loc::current()) {
+    fail("JSON error at offset " + std::to_string(at) + ": " +
+             std::string(what),
+         loc);
+  }
+
+  void need(bool ok, std::string_view what, Loc loc = Loc::current()) const {
+    if (!ok) [[unlikely]] raise(pos_, what, loc);
   }
 
   void skip_ws() {
@@ -37,12 +77,16 @@ class Parser {
 
   [[nodiscard]] char peek() {
     skip_ws();
-    check(pos_ < text_.size(), err("unexpected end of input"));
+    need(pos_ < text_.size(), "unexpected end of input");
     return text_[pos_];
   }
 
   void expect(char c) {
-    check(peek() == c, err(std::string("expected '") + c + "'"));
+    // A mismatch reports the offset before any whitespace is skipped.
+    const std::size_t at = pos_;
+    if (peek() != c) [[unlikely]] {
+      raise(at, std::string("expected '") + c + "'");
+    }
     ++pos_;
   }
 
@@ -56,8 +100,9 @@ class Parser {
   }
 
   void literal(std::string_view word) {
-    check(text_.substr(pos_, word.size()) == word,
-          err("bad literal (expected " + std::string(word) + ")"));
+    if (text_.substr(pos_, word.size()) != word) [[unlikely]] {
+      raise(pos_, "bad literal (expected " + std::string(word) + ")");
+    }
     pos_ += word.size();
   }
 
@@ -122,14 +167,15 @@ class Parser {
     expect('"');
     std::string out;
     for (;;) {
-      check(pos_ < text_.size(), err("unterminated string"));
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
+      // Copy the run of plain bytes up to the next quote or escape at once.
+      const std::size_t run = pos_;
+      while (pos_ < text_.size() && text_[pos_] != '"' && text_[pos_] != '\\') {
+        ++pos_;
       }
-      check(pos_ < text_.size(), err("unterminated escape"));
+      out.append(text_.substr(run, pos_ - run));
+      need(pos_ < text_.size(), "unterminated string");
+      if (text_[pos_++] == '"') return out;
+      need(pos_ < text_.size(), "unterminated escape");
       const char esc = text_[pos_++];
       switch (esc) {
         case '"': out += '"'; break;
@@ -141,12 +187,12 @@ class Parser {
         case 'r': out += '\r'; break;
         case 't': out += '\t'; break;
         case 'u': {
-          check(pos_ + 4 <= text_.size(), err("truncated \\u escape"));
+          need(pos_ + 4 <= text_.size(), "truncated \\u escape");
           unsigned code = 0;
           for (int i = 0; i < 4; ++i) {
             const char h = text_[pos_++];
-            check(std::isxdigit(static_cast<unsigned char>(h)) != 0,
-                  err("bad \\u escape"));
+            need(std::isxdigit(static_cast<unsigned char>(h)) != 0,
+                 "bad \\u escape");
             code = code * 16 +
                    static_cast<unsigned>(h <= '9' ? h - '0'
                                                   : (h | 0x20) - 'a' + 10);
@@ -165,27 +211,27 @@ class Parser {
           }
           break;
         }
-        default: fail(err("unknown escape"));
+        default: raise(pos_, "unknown escape");
       }
     }
   }
 
   JsonValue number() {
-    skip_ws();
     const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
     while (pos_ < text_.size() &&
            (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
             text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
             text_[pos_] == '+' || text_[pos_] == '-')) {
       ++pos_;
     }
-    check(pos_ > start, err("expected a value"));
+    need(pos_ > start, "expected a value");
     JsonValue v;
     v.kind = JsonValue::Kind::kNumber;
     v.text = std::string(text_.substr(start, pos_ - start));
     // Validate the spelling now so corrupt digits fail at parse time.
-    (void)v.as_double();
+    if (!strtod_spelling(v.text)) [[unlikely]] {
+      fail("bad JSON number: '" + v.text + "'");
+    }
     return v;
   }
 
@@ -208,8 +254,9 @@ std::uint64_t JsonValue::as_u64() const {
   std::uint64_t v = 0;
   const auto [ptr, ec] =
       std::from_chars(text.data(), text.data() + text.size(), v);
-  check(ec == std::errc() && ptr == text.data() + text.size(),
-        "JSON number is not an unsigned integer: '" + text + "'");
+  if (ec != std::errc() || ptr != text.data() + text.size()) [[unlikely]] {
+    fail("JSON number is not an unsigned integer: '" + text + "'");
+  }
   return v;
 }
 
@@ -217,8 +264,9 @@ double JsonValue::as_double() const {
   check(kind == Kind::kNumber, "JSON value is not a number");
   char* end = nullptr;
   const double v = std::strtod(text.c_str(), &end);
-  check(end == text.c_str() + text.size() && !text.empty(),
-        "bad JSON number: '" + text + "'");
+  if (end != text.c_str() + text.size() || text.empty()) [[unlikely]] {
+    fail("bad JSON number: '" + text + "'");
+  }
   return v;
 }
 
@@ -273,10 +321,26 @@ void append_stats_fields(std::string& out, const RunStats& s, StatsForm form,
 
 RunStats read_stats_fields(const JsonValue& obj, StatsForm form) {
   const bool named = form == StatsForm::kReport;
+  // One pass over the members finds what obj.get() would for every row
+  // (the first member of that name). Writers emit the rows in table
+  // order, so the row after the last match is tried first.
+  constexpr std::size_t kRows = kRunStatsFields.size();
+  std::array<const JsonValue*, kRows> found{};
+  std::size_t row = 0;
+  for (const auto& [key, value] : obj.fields) {
+    if (row >= kRows || kRunStatsFields[row].key != key) {
+      row = 0;
+      while (row < kRows && kRunStatsFields[row].key != key) ++row;
+      if (row == kRows) continue;  // not a stats field
+    }
+    if (found[row] == nullptr) found[row] = &value;
+    ++row;
+  }
   RunStats s;
-  for (const StatField& f : kRunStatsFields) {
+  for (std::size_t r = 0; r < kRows; ++r) {
+    const StatField& f = kRunStatsFields[r];
     if (named && !f.in_report()) continue;
-    const JsonValue* v = obj.get(f.key);
+    const JsonValue* v = found[r];
     if (v == nullptr) {
       if (!f.tolerant()) {
         fail("record is missing stats field '" + std::string(f.key) + "'");

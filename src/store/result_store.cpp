@@ -9,7 +9,6 @@
 
 #include "common/contracts.hpp"
 #include "common/faults.hpp"
-#include "common/fmt.hpp"
 #include "obs/metrics.hpp"
 #include "store/appendio.hpp"
 #include "store/json.hpp"
@@ -23,12 +22,49 @@ namespace {
 std::string fnum(double v) { return json_double(v); }
 std::string unum(std::uint64_t v) { return json_u64(v); }
 
-constexpr std::string_view kCheckMarker = ",\"check\":\"";
-
 const JsonValue& field(const JsonValue& obj, std::string_view key) {
   const JsonValue* v = obj.get(key);
   if (v == nullptr) fail("store record is missing field '" + std::string(key) + "'");
   return *v;
+}
+
+/// deserialize() up to, not including, the provenance check: throws
+/// ContractViolation on syntax, checksum or schema errors.
+StoredResult decode(std::string_view line) {
+  // Verify the checksum against the literal text first: the checked
+  // content is the line with the trailing `,"check":"..."` spliced out.
+  const std::optional<std::string> computed = expected_check(line);
+  check(computed.has_value(), "store record has no checksum");
+  const JsonValue doc = parse_json(line);
+  const std::string& stored_check = field(doc, "check").as_string();
+  check(stored_check == *computed, "store record checksum mismatch");
+
+  StoredResult r;
+  r.fingerprint = field(doc, "fp").as_string();
+  r.version = field(doc, "version").as_string();
+  r.config = field(doc, "config").as_string();
+  r.label = field(doc, "label").as_string();
+  r.kernel = field(doc, "kernel").as_string();
+  r.bytes_per_lane = field(doc, "bpl").as_u64();
+  r.seed = field(doc, "seed").as_u64();
+
+  // Fields newer than the seed schema read as 0 from older records (no
+  // schema bump: the fingerprint already embeds the build version).
+  r.stats = read_stats_fields(field(doc, "stats"), StatsForm::kStore);
+  r.verified = field(doc, "verified").as_bool();
+  r.tolerance = field(doc, "tolerance").as_double();
+  r.verify.checked = field(doc, "checked").as_u64();
+  r.verify.max_rel_err = field(doc, "max_rel_err").as_double();
+  return r;
+}
+
+/// The stored fingerprint must match one recomputed from the record's own
+/// provenance — a tampered key field (or a record written under a
+/// different fingerprint scheme) is recomputed, never served.
+bool provenance_matches(const StoredResult& r) {
+  return r.fingerprint ==
+         fingerprint(
+             JobKey{r.config, r.kernel, r.bytes_per_lane, r.seed, r.version});
 }
 
 }  // namespace
@@ -55,48 +91,12 @@ std::string ResultStore::serialize(const StoredResult& r) {
   out += "}";
   // Payload checksum over the exact line text: flipped bits anywhere in
   // the record (including the stats) invalidate it.
-  const std::string check = strprintf(
-      "%016llx", static_cast<unsigned long long>(hash64(out)));
-  out.insert(out.size() - 1, std::string(kCheckMarker) + check + "\"");
-  return out;
+  return with_check(std::move(out));
 }
 
 StoredResult ResultStore::deserialize(std::string_view line) {
-  // Verify the checksum against the literal text first: the checked
-  // content is the line with the trailing `,"check":"..."` spliced out.
-  const std::size_t marker = line.rfind(kCheckMarker);
-  check(marker != std::string_view::npos, "store record has no checksum");
-  std::string body(line.substr(0, marker));
-  body += "}";
-  const JsonValue doc = parse_json(line);
-  const std::string& stored_check = field(doc, "check").as_string();
-  const std::string computed = strprintf(
-      "%016llx", static_cast<unsigned long long>(hash64(body)));
-  check(stored_check == computed, "store record checksum mismatch");
-
-  StoredResult r;
-  r.fingerprint = field(doc, "fp").as_string();
-  r.version = field(doc, "version").as_string();
-  r.config = field(doc, "config").as_string();
-  r.label = field(doc, "label").as_string();
-  r.kernel = field(doc, "kernel").as_string();
-  r.bytes_per_lane = field(doc, "bpl").as_u64();
-  r.seed = field(doc, "seed").as_u64();
-
-  // Fields newer than the seed schema read as 0 from older records (no
-  // schema bump: the fingerprint already embeds the build version).
-  r.stats = read_stats_fields(field(doc, "stats"), StatsForm::kStore);
-  r.verified = field(doc, "verified").as_bool();
-  r.tolerance = field(doc, "tolerance").as_double();
-  r.verify.checked = field(doc, "checked").as_u64();
-  r.verify.max_rel_err = field(doc, "max_rel_err").as_double();
-
-  // Finally, the stored fingerprint must match one recomputed from the
-  // record's own provenance — a tampered key field (or a record written
-  // under a different fingerprint scheme) is recomputed, never served.
-  const std::string expect = fingerprint(
-      JobKey{r.config, r.kernel, r.bytes_per_lane, r.seed, r.version});
-  check(r.fingerprint == expect, "store record provenance fingerprint mismatch");
+  StoredResult r = decode(line);
+  check(provenance_matches(r), "store record provenance fingerprint mismatch");
   return r;
 }
 
@@ -111,14 +111,13 @@ void ResultStore::load() {
     ++load_report_.lines;
     StoredResult r;
     try {
-      r = deserialize(line);
-    } catch (const ContractViolation& e) {
-      if (std::string_view(e.what()).find("provenance fingerprint") !=
-          std::string_view::npos) {
-        ++load_report_.fp_mismatches;
-      } else {
-        ++load_report_.bad_lines;
-      }
+      r = decode(line);
+    } catch (const ContractViolation&) {
+      ++load_report_.bad_lines;
+      continue;
+    }
+    if (!provenance_matches(r)) {
+      ++load_report_.fp_mismatches;
       continue;
     }
     const auto [it, inserted] = index_.try_emplace(r.fingerprint, records_.size());

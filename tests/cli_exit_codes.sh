@@ -67,6 +67,16 @@ grep -q '"status":"ok"' clean.json || {
   fails=$((fails + 1))
 }
 
+# A report record without a key `araxl report` needs is a usage error that
+# names the key, not a crash.
+sed 's/"label":"araxl:8",//' clean.json >nolabel.json
+expect "report --from-json on a record without config.label" 2 \
+  "$ARAXL" report --from-json nolabel.json --out nolabel-report
+grep -q "missing 'config.label'" stderr.log || {
+  echo "FAIL: report error does not name config.label" >&2
+  fails=$((fails + 1))
+}
+
 # Fleet orchestration: serve -> worker -> merge --ledger round-trips with
 # the same exit-code contract.
 serve_axes="--configs araxl:8 --kernels stream_triad --bpl 64"

@@ -235,6 +235,47 @@ TEST(Analysis, JsonReportReaderToleratesPreTelemetryRecords) {
                ContractViolation);
 }
 
+TEST(Analysis, JsonReportReaderNamesEachMissingKey) {
+  // Every key the reader needs, removed in turn, is a contract error that
+  // names it (it used to dereference a null member).
+  driver::JobResult r;
+  r.job.config_label = "araxl:8";
+  r.job.cfg = MachineConfig::araxl(8);
+  r.job.kernel = "fdotproduct";
+  r.job.bytes_per_lane = 64;
+  r.ok = true;
+  r.stats.cycles = 1000;
+  r.stats.total_lanes = 8;
+  const std::string doc = driver::to_json({r});
+  ASSERT_EQ(analysis::dataset_from_json_report(doc, RowFilter{}).rows.size(),
+            1u);
+  for (const std::string path :
+       {"config.label", "config.kind", "config.vlen_bits", "config.total_lanes",
+        "kernel", "bytes_per_lane", "seed", "ppa.freq_ghz", "ppa.area_mm2",
+        "ppa.power_w", "ppa.gflops", "ppa.gflops_per_w"}) {
+    const std::string key = "\"" + path.substr(path.find('.') + 1) + "\":";
+    std::string cut = doc;
+    const std::size_t at = cut.find(key);
+    ASSERT_NE(at, std::string::npos) << path;
+    ASSERT_EQ(cut.find(key, at + 1), std::string::npos) << path;
+    const std::size_t end = cut.find_first_of(",}", at);
+    // Take the comma after the member, or the one before it when last.
+    if (cut[end] == ',') {
+      cut.erase(at, end + 1 - at);
+    } else {
+      cut.erase(at - 1, end - at + 1);
+    }
+    try {
+      (void)analysis::dataset_from_json_report(cut, RowFilter{});
+      ADD_FAILURE() << "no error without " << path;
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find("missing '" + path + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Analysis, SvgEscapeHandlesMarkup) {
   EXPECT_EQ(analysis::svg_escape("a<b&\"c\">"), "a&lt;b&amp;&quot;c&quot;&gt;");
 }

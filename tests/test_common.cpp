@@ -1,11 +1,16 @@
-// Unit tests: common utilities (bits, contracts, fmt, rng, table).
+// Unit tests: common utilities (bits, contracts, fmt, rng, table, ticker).
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <chrono>
+#include <thread>
 
 #include "common/bits.hpp"
 #include "common/contracts.hpp"
 #include "common/fmt.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
+#include "common/ticker.hpp"
 
 namespace araxl {
 namespace {
@@ -151,6 +156,36 @@ TEST(Table, RuleRendering) {
     ++rules;
   }
   EXPECT_GE(rules, 4u);
+}
+
+TEST(Ticker, StopRightAfterStartDoesNotWaitOutThePeriod) {
+  // `araxl sweep` used to join a heartbeat thread that slept its full 2 s
+  // period, so every sweep's wall time rounded up to the next 2 s.
+  std::atomic<int> ticks{0};
+  const auto t0 = std::chrono::steady_clock::now();
+  {
+    Ticker t(std::chrono::milliseconds(2000), [&ticks] { ++ticks; });
+    t.stop();
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - t0,
+            std::chrono::milliseconds(500));
+  EXPECT_EQ(ticks.load(), 0);
+}
+
+TEST(Ticker, TicksEveryPeriodUntilStopped) {
+  std::atomic<int> ticks{0};
+  Ticker t(std::chrono::milliseconds(1), [&ticks] { ++ticks; });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (ticks.load() < 3 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  t.stop();
+  const int seen = ticks.load();
+  EXPECT_GE(seen, 3);
+  t.stop();  // idempotent, and no tick after stop
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_EQ(ticks.load(), seen);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <numeric>
@@ -627,6 +628,132 @@ TEST(Json, ParsesAndRejects) {
        {"", "{", "[1,", "{\"a\":}", "tru", "\"unterminated", "{}junk", "1e"}) {
     EXPECT_THROW((void)parse_json(bad), ContractViolation) << bad;
   }
+}
+
+/// The message of the ContractViolation `read` throws, without the
+/// "contract violation: " prefix and the source-location suffix.
+template <typename Read>
+std::string error_text(Read&& read) {
+  try {
+    read();
+  } catch (const ContractViolation& e) {
+    const std::string what = e.what();
+    const std::string prefix = "contract violation: ";
+    EXPECT_EQ(what.rfind(prefix, 0), 0u) << what;
+    return what.substr(prefix.size(), what.rfind(" [") - prefix.size());
+  }
+  return "(no error)";
+}
+
+TEST(Json, ErrorTextIsExact) {
+  // One case per parser error kind, offsets included: these messages are
+  // what `araxl` prints for a malformed report or ledger.
+  const std::pair<const char*, const char*> cases[] = {
+      {R"({"a":)", "JSON error at offset 5: unexpected end of input"},
+      {"", "JSON error at offset 0: unexpected end of input"},
+      {"{}junk", "JSON error at offset 2: trailing characters after JSON value"},
+      // An unexpected character reports the offset before the whitespace.
+      {R"({"a" 1})", "JSON error at offset 4: expected ':'"},
+      {"[1 2]", "JSON error at offset 3: expected ','"},
+      {R"({"a":1, x})", "JSON error at offset 7: expected '\"'"},
+      {"[tru]", "JSON error at offset 1: bad literal (expected true)"},
+      {"fals", "JSON error at offset 0: bad literal (expected false)"},
+      {"nul", "JSON error at offset 0: bad literal (expected null)"},
+      {R"({"a":})", "JSON error at offset 5: expected a value"},
+      {R"("abc)", "JSON error at offset 4: unterminated string"},
+      {R"("\)", "JSON error at offset 2: unterminated escape"},
+      {R"("\u12")", "JSON error at offset 3: truncated \\u escape"},
+      {R"("\u12g4")", "JSON error at offset 6: bad \\u escape"},
+      {R"("\q")", "JSON error at offset 3: unknown escape"},
+      {"1e", "bad JSON number: '1e'"},
+      {"[1-2]", "bad JSON number: '1-2'"},
+  };
+  for (const auto& [text, message] : cases) {
+    EXPECT_EQ(error_text([&] { (void)parse_json(text); }), message) << text;
+  }
+  EXPECT_EQ(error_text([] { (void)parse_json("-1").as_u64(); }),
+            "JSON number is not an unsigned integer: '-1'");
+  JsonValue junk;
+  junk.kind = JsonValue::Kind::kNumber;
+  junk.text = "12x";
+  EXPECT_EQ(error_text([&] { (void)junk.as_double(); }),
+            "bad JSON number: '12x'");
+}
+
+TEST(Json, AcceptsExactlyTheSpellingsStrtodConsumesWhole) {
+  // Every string of up to five characters over the number alphabet: the
+  // parser accepts it iff strtod() consumes all of it.
+  const std::string alphabet = "0.eE+-";
+  std::vector<std::string> level = {""};
+  for (int len = 1; len <= 5; ++len) {
+    std::vector<std::string> next;
+    for (const std::string& prefix : level) {
+      for (const char c : alphabet) next.push_back(prefix + c);
+    }
+    for (const std::string& s : next) {
+      char* end = nullptr;
+      (void)std::strtod(s.c_str(), &end);
+      const bool whole = end == s.c_str() + s.size();
+      bool parsed = true;
+      try {
+        (void)parse_json(s);
+      } catch (const ContractViolation&) {
+        parsed = false;
+      }
+      EXPECT_EQ(parsed, whole) << s;
+    }
+    level = std::move(next);
+  }
+}
+
+TEST(Json, StatsReaderTakesTheFirstMemberOfANameInAnyOrder) {
+  // read_stats_fields matches members in one pass; like JsonValue::get it
+  // takes the first member of a name, wherever the writer put it.
+  const RunStats s = every_word_stats();
+  std::string fields;
+  append_stats_fields(fields, s, StatsForm::kStore);
+  JsonValue obj = parse_json("{" + fields + "}");
+  std::reverse(obj.fields.begin(), obj.fields.end());
+  expect_same_words(read_stats_fields(obj, StatsForm::kStore), s);
+
+  const RunStats late = read_stats_fields(
+      parse_json("{" + fields + R"(,"cycles":7,"junk":1})"), StatsForm::kStore);
+  EXPECT_EQ(late.cycles, s.cycles);
+  const RunStats early = read_stats_fields(
+      parse_json(R"({"cycles":7,)" + fields + "}"), StatsForm::kStore);
+  EXPECT_EQ(early.cycles, 7u);
+  EXPECT_EQ(early.total_lanes, s.total_lanes);
+}
+
+TEST(ResultStoreTest, OneFlippedByteCostsExactlyOneLine) {
+  // Flip the low bit of every byte of one record in turn: each damaged
+  // store loads with exactly one more bad line and the same provenance
+  // and supersede counts.
+  StoredResult rekeyed = sample_record("fdotproduct", 64);
+  rekeyed.bytes_per_lane = 4096;
+  const std::string victim = ResultStore::serialize(sample_record("exp", 64));
+  const std::string tail =
+      ResultStore::serialize(sample_record("softmax", 64)) + "\n" +
+      ResultStore::serialize(rekeyed) + "\n" +
+      ResultStore::serialize(sample_record("softmax", 64)) + "\n";
+  const std::string path = temp_path("flipped");
+  for (std::size_t i = 0; i <= victim.size(); ++i) {
+    std::string line = victim;
+    if (i < victim.size()) line[i] ^= 1;
+    {
+      std::ofstream f(path, std::ios::binary | std::ios::trunc);
+      f << line << "\n" << tail;
+    }
+    const ResultStore store(path);
+    const LoadReport& lr = store.load_report();
+    const std::size_t bad = i < victim.size() ? 1 : 0;  // last: intact
+    EXPECT_EQ(lr.lines, 4u) << i;
+    EXPECT_EQ(lr.bad_lines, bad) << i;
+    EXPECT_EQ(lr.fp_mismatches, 1u) << i;
+    EXPECT_EQ(lr.superseded, 1u) << i;
+    EXPECT_EQ(lr.loaded, 2u - bad) << i;
+  }
+  std::remove(path.c_str());
 }
 
 TEST(Version, SaltIncludesGitRevisionAndSchema) {

@@ -24,6 +24,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -36,6 +37,7 @@
 #include "common/faults.hpp"
 #include "common/fmt.hpp"
 #include "common/table.hpp"
+#include "common/ticker.hpp"
 #include "driver/registry.hpp"
 #include "driver/report.hpp"
 #include "driver/runner.hpp"
@@ -441,39 +443,33 @@ int run_and_report(const driver::SweepSpec& spec, const Args& args,
   // watching a multi-minute run sees progress and an ETA without the
   // per-job log noise. stderr only; silenced by --quiet (CI byte-identity
   // cmp runs pass --quiet, and reports never carry wall-clock data).
-  std::atomic<bool> hb_stop{false};
-  std::thread heartbeat;
   // Every heartbeat line carries a stable worker-id prefix (--id, default
   // w0) so interleaved stderr from a fleet of processes stays attributable.
   const std::string* id_flag = args.get("--id");
   const std::string hb_id = id_flag != nullptr ? *id_flag : "w0";
+  std::optional<Ticker> heartbeat;  // after what its tick reads
   if (!quiet && jobs.size() > 1) {
-    heartbeat = std::thread([&hb_stop, &hb_done, &hb_cached, &hb_id, &jobs,
-                             t0] {
-      while (!hb_stop.load(std::memory_order_relaxed)) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(2000));
-        if (hb_stop.load(std::memory_order_relaxed)) break;
-        const std::size_t done = hb_done.load(std::memory_order_relaxed);
-        const std::size_t cached = hb_cached.load(std::memory_order_relaxed);
-        if (done == 0 || done >= jobs.size()) continue;
-        const double elapsed =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-                .count();
-        const double eta =
-            elapsed / static_cast<double>(done) *
-            static_cast<double>(jobs.size() - done);
-        std::fprintf(stderr,
-                     "[%s] [heartbeat] %zu/%zu jobs (%zu cached, %zu "
-                     "simulated), %.1fs elapsed, ETA %.1fs\n",
-                     hb_id.c_str(), done, jobs.size(), cached, done - cached,
-                     elapsed, eta);
-      }
+    heartbeat.emplace(std::chrono::milliseconds(2000), [&hb_done, &hb_cached,
+                                                        &hb_id, &jobs, t0] {
+      const std::size_t done = hb_done.load(std::memory_order_relaxed);
+      const std::size_t cached = hb_cached.load(std::memory_order_relaxed);
+      if (done == 0 || done >= jobs.size()) return;
+      const double elapsed =
+          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+              .count();
+      const double eta = elapsed / static_cast<double>(done) *
+                         static_cast<double>(jobs.size() - done);
+      std::fprintf(stderr,
+                   "[%s] [heartbeat] %zu/%zu jobs (%zu cached, %zu "
+                   "simulated), %.1fs elapsed, ETA %.1fs\n",
+                   hb_id.c_str(), done, jobs.size(), cached, done - cached,
+                   elapsed, eta);
     });
   }
 
   const std::vector<driver::JobResult> results = driver::run_jobs(jobs, opts);
-  hb_stop.store(true, std::memory_order_relaxed);
-  if (heartbeat.joinable()) heartbeat.join();
+  // Wakes the heartbeat instead of waiting out its period.
+  heartbeat.reset();
   const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
