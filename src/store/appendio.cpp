@@ -1,6 +1,7 @@
 #include "store/appendio.hpp"
 
 #include <fcntl.h>
+#include <sys/file.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -53,10 +54,15 @@ AppendOutcome append_lines(const std::string& path, std::string_view payload,
   // A crashed (or fault-injected) writer can leave the file ending in a
   // torn, newline-less tail. Appending straight after it would merge our
   // first record into that garbage line and lose it — heal by starting on
-  // a fresh line. (The loaders skip the blank line this may create when
-  // two writers both heal.) Probing and appending are separate syscalls,
-  // so two healers can race and both prepend a newline; that only yields
-  // an extra blank line, which the loaders also skip.
+  // a fresh line. Probing and appending are separate syscalls, so both run
+  // under an exclusive advisory lock: otherwise another appender could
+  // tear the tail between our probe and our write, and our record would
+  // be glued onto its fragment while we report success. The lock is
+  // released by close(), including when the process dies. Where the
+  // filesystem refuses locks the append goes ahead unlocked; two healers
+  // racing then only yield an extra blank line, which the loaders skip.
+  while (::flock(fd, LOCK_EX) != 0 && errno == EINTR) {
+  }
   struct stat st{};
   if (::fstat(fd, &st) == 0 && st.st_size > 0) {
     char last = '\n';

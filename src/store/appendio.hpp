@@ -7,7 +7,9 @@
 //   * torn-tail healing — a crashed (or fault-injected) writer can leave
 //     the file ending in a newline-less fragment; appending straight after
 //     it would merge the next record into that garbage line, so an append
-//     that finds a torn tail starts with a fresh newline;
+//     that finds a torn tail starts with a fresh newline. The probe and
+//     the write hold an exclusive flock() so no other appender can tear
+//     the tail in between;
 //   * one O_APPEND write per batch — concurrent writers interleave at line
 //     granularity and a crash mid-write loses at most one torn line, which
 //     the corruption-tolerant loaders skip;
