@@ -5,7 +5,7 @@ namespace araxl {
 std::pair<unsigned, unsigned> write_group(const VInstr& in, unsigned group_regs) {
   const OpSpec& spec = op_spec(in.op);
   if (!spec.writes_vd) return {0, 0};
-  if (spec.writes_mask || spec.is_reduction || in.op == Op::kVfmvSF) {
+  if (spec.writes_mask || spec.is_reduction || spec.elem0_only) {
     return {in.vd, 1};
   }
   if (spec.widens) return {in.vd, 2 * group_regs};  // EEW = 2*SEW destination

@@ -30,6 +30,7 @@ struct SpecBuilder {
   SpecBuilder& wide() { s.widens = true; return *this; }
   SpecBuilder& gat() { s.is_gather = true; return *this; }
   SpecBuilder& msrc() { s.reads_mask_src = true; return *this; }
+  SpecBuilder& e0() { s.elem0_only = true; return *this; }
   SpecBuilder& fl(std::uint8_t n) { s.flops_per_elem = n; return *this; }
   operator OpSpec() const { return s; }  // NOLINT(google-explicit-constructor)
 };
@@ -83,7 +84,7 @@ const std::array<OpSpec, kNumOps> kSpecs = {
     OpSpec(B("vmv.v.v", Unit::kAlu).r1().wd()),
     OpSpec(B("vfmv.v.f", Unit::kAlu).wd().acc()),
     OpSpec(B("vfmv.f.s", Unit::kNone).r2().ret()),
-    OpSpec(B("vfmv.s.f", Unit::kAlu).wd().acc()),
+    OpSpec(B("vfmv.s.f", Unit::kAlu).wd().acc().e0()),
     OpSpec(B("vid.v", Unit::kAlu).wd()),
     // reductions
     OpSpec(B("vfredusum.vs", Unit::kFpu).r1().r2().wd().red().fl(1)),

@@ -163,6 +163,7 @@ struct OpSpec {
   bool widens = false;     ///< destination EEW is 2*SEW (2*LMUL registers)
   bool is_gather = false;  ///< all-to-all permutation (vrgather/vcompress)
   bool reads_mask_src = false;  ///< vs2 (and vs1) read as mask bit vectors
+  bool elem0_only = false;  ///< writes element 0 alone, whatever vl is
   std::uint8_t flops_per_elem = 0;  ///< DP-FLOP accounting (FMA = 2)
 };
 

@@ -214,7 +214,7 @@ VInstr ProgramBuilder::make(Op op, unsigned vd, unsigned vs1, unsigned vs2,
   const OpSpec& spec = op_spec(op);
   // Single-element accesses (vfmv.s.f destination, vfmv.f.s source) are
   // exempt from LMUL register-group alignment, as are mask destinations.
-  const bool vd_grouped = !spec.writes_mask && op != Op::kVfmvSF;
+  const bool vd_grouped = !spec.writes_mask && !spec.elem0_only;
   if (spec.writes_vd || spec.reads_vd) check_vreg(vd, vd_grouped);
   if (spec.reads_vs1) check_vreg(vs1);
   if (spec.reads_vs2) check_vreg(vs2, op != Op::kVfmvFS);

@@ -1,10 +1,13 @@
 #include "machine/functional.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/contracts.hpp"
@@ -67,81 +70,591 @@ std::uint16_t f64_to_f16(double v) {
       sign + (static_cast<std::uint64_t>(he) << 10) + rounded - 1024);
 }
 
+// ---- element codecs ---------------------------------------------------------
+// Register elements are raw SEW-bit words. FP rows compute in double: fp_in
+// widens exactly and fp_out rounds once, so no result depends on whether
+// the value passed through a narrower format in between.
+
+constexpr std::string_view kFpSewOnly = "FP operations require SEW of 16, 32 or 64";
+
+template <typename T>
+double fp_in(T bits) {
+  if constexpr (sizeof(T) == 8) {
+    return std::bit_cast<double>(bits);
+  } else if constexpr (sizeof(T) == 4) {
+    return static_cast<double>(std::bit_cast<float>(bits));
+  } else if constexpr (sizeof(T) == 2) {
+    return f16_to_f64(bits);
+  } else {
+    fail(kFpSewOnly);
+  }
+}
+
+template <typename T>
+T fp_out(double v) {
+  if constexpr (sizeof(T) == 8) {
+    return std::bit_cast<T>(v);
+  } else if constexpr (sizeof(T) == 4) {
+    return std::bit_cast<T>(static_cast<float>(v));
+  } else if constexpr (sizeof(T) == 2) {
+    return f64_to_f16(v);
+  } else {
+    fail(kFpSewOnly);
+  }
+}
+
+/// Result of an FP operation: rounded once, and a NaN is the canonical
+/// NaN, since RISC-V does not propagate NaN payloads. This also makes the
+/// bits independent of the operand order the compiler picks for a + b.
+template <typename T>
+T fp_result(double v) {
+  return fp_out<T>(std::isnan(v) ? std::numeric_limits<double>::quiet_NaN() : v);
+}
+
+/// Sign injection works on raw bits, so a NaN keeps its payload.
+template <typename T, typename U>
+T sign_inject(T magnitude, U sign) {
+  constexpr T kSign = static_cast<T>(T{1} << (8 * sizeof(T) - 1));
+  return static_cast<T>((magnitude & static_cast<T>(~kSign)) |
+                        (static_cast<T>(sign) & kSign));
+}
+
+template <typename T>
+auto sgn(T v) {
+  return static_cast<std::make_signed_t<T>>(v);
+}
+
+/// Widens before a multiply or shift: uint16 operands would otherwise be
+/// promoted to int, whose overflow is undefined.
+template <typename T>
+std::uint64_t wide(T v) {
+  return v;
+}
+
+/// vfcvt.x.f.v: round to nearest even, then saturate to the signed SEW-bit
+/// range; NaN converts to the maximum (RVV 1.0).
+template <typename T>
+T fp_to_int(T bits) {
+  using S = std::make_signed_t<T>;
+  constexpr auto kLimit = static_cast<double>(std::uint64_t{1} << (8 * sizeof(T) - 1));
+  const double r = std::nearbyint(fp_in(bits));
+  if (std::isnan(r) || r >= kLimit) {
+    return static_cast<T>(std::numeric_limits<S>::max());
+  }
+  if (r < -kLimit) return static_cast<T>(std::numeric_limits<S>::min());
+  return static_cast<T>(static_cast<S>(r));
+}
+
+/// vfcvt.f.x.v: the word is a signed SEW-bit integer, rounded once to FP.
+template <typename T>
+T int_to_fp(T bits) {
+  return fp_out<T>(static_cast<double>(sgn(bits)));
+}
+
+// ---- the op table -----------------------------------------------------------
+
+/// Element class of a row: how its operands are read and its result stored.
+enum class Kind : std::uint8_t {
+  kInt,        ///< SEW-bit integers in, integer out
+  kFp,         ///< FP at SEW, computed in double, rounded once
+  kFpToMask,   ///< FP compare, one bit into a mask register
+  kMaskLogic,  ///< mask bits in, mask bit out
+  kMerge,      ///< like kInt, but where v0 is clear vd takes vs2's bits
+  kFpBits,     ///< raw SEW-bit words at an FP SEW: conversions, moves, sign
+  kFold,       ///< FP reduction of vs2 onto vs1[0], into vd[0]
+  kSlide,      ///< vd[i] = vs2[j(i)], with RVV's fill where j is out of range
+};
+using enum Kind;
+
+template <Kind K>
+constexpr bool kFpOnly = K == kFp || K == kFpToMask || K == kFpBits || K == kFold;
+
+/// Operand type an element lambda sees, for SEW word type T.
+template <Kind K, typename T>
+using Val = std::conditional_t<
+    K == kFp || K == kFpToMask || K == kFold, double,
+    std::conditional_t<K == kMaskLogic, bool, T>>;
+
+/// Operands of element i for an elementwise row. An operand the op's
+/// OpSpec does not read holds an unspecified value.
+template <typename V, typename S>
+struct Elem {
+  V a;  ///< vs2[i]
+  V b;  ///< vs1[i]
+  V d;  ///< vd[i] before the op
+  S s;  ///< scalar: fs for .vf forms, xs otherwise
+  std::uint64_t i;
+  static constexpr unsigned kBits = 8 * sizeof(V);
+};
+
+/// One instruction as the executors see it.
+struct OpArgs {
+  Vrf& vrf;
+  const VInstr& in;
+  const OpSpec& spec;
+  unsigned ew;          ///< element bytes at the current SEW
+  std::uint64_t n;      ///< elements covered: vl, or 1 for elem0_only ops
+  std::uint64_t vlmax;
+  double fs;            ///< the .vf scalar, after fs_from_acc
+  OpScratch& buf;
+};
+
+template <Kind K, typename T>
+Val<K, T> decode(T bits) {
+  if constexpr (std::is_same_v<Val<K, T>, double>) {
+    return fp_in(bits);
+  } else {
+    return static_cast<Val<K, T>>(bits);
+  }
+}
+
+template <Kind K, typename T, typename R>
+T encode(R r) {
+  if constexpr (K == kFp) {
+    return fp_result<T>(r);
+  } else {
+    return static_cast<T>(r);
+  }
+}
+
+/// The scalar operand. Computed before any register is touched, so that a
+/// .vf row at SEW 8 fails with the VRF unchanged.
+template <Kind K, typename T>
+auto scalar(const OpArgs& x) {
+  if constexpr (std::is_same_v<Val<K, T>, double>) {
+    return x.fs;
+  } else if constexpr (K == kMaskLogic) {
+    return false;
+  } else {
+    return x.spec.reads_scalar_acc_ok ? fp_out<T>(x.fs) : static_cast<T>(x.in.xs);
+  }
+}
+
+/// Slide amount, clamped to VLMAX so that i + k cannot wrap.
+std::int64_t slide_amount(const OpArgs& x) {
+  return static_cast<std::int64_t>(
+      std::min(static_cast<std::uint64_t>(x.in.xs), x.vlmax));
+}
+
+/// A slide row maps vd[i] to vs2[j]. Sources j in [0, limit) exist; a j
+/// outside is where RVV fills: a .vf form (vfslide1up/down) writes the
+/// scalar, a .vx form leaves the head (j < 0) undisturbed and writes 0
+/// past VLMAX.
+std::int64_t slide_limit(const OpArgs& x) {
+  return static_cast<std::int64_t>(x.spec.reads_scalar_acc_ok ? x.n : x.vlmax);
+}
+
+const std::uint8_t* read_v0(OpArgs& x) {
+  x.buf.v0.resize(x.n);
+  x.vrf.read_mask_stream(0, x.n, x.buf.v0.data());
+  return x.buf.v0.data();
+}
+
+/// Calls fn with a value of the unsigned word type of the current SEW.
+/// Mask logic reads and writes bits only, so it has one instantiation.
+template <Kind K, typename Fn>
+void with_width(unsigned ew, Fn&& fn) {
+  if constexpr (K == kMaskLogic) {
+    fn(std::uint8_t{});
+  } else {
+    switch (ew) {
+      case 2: fn(std::uint16_t{}); return;
+      case 4: fn(std::uint32_t{}); return;
+      case 8: fn(std::uint64_t{}); return;
+      default: break;
+    }
+    if constexpr (kFpOnly<K>) {
+      fail(kFpSewOnly);
+    } else {
+      fn(std::uint8_t{});
+    }
+  }
+}
+
+// ---- stream executor --------------------------------------------------------
+// Reads v0 once per instruction and computes from packed register spans,
+// with masked-off elements blended on raw bits.
+
+/// Rows whose destination is an element group (kInt, kFp, kMerge, kFpBits).
+template <Kind K, typename F, typename T>
+void stream_elems(OpArgs& x) {
+  const auto s = scalar<K, T>(x);
+  const VInstr& in = x.in;
+  const std::uint64_t n = x.n;
+  constexpr bool kMergeRow = K == kMerge;
+  const std::uint8_t* m = in.masked || kMergeRow ? read_v0(x) : nullptr;
+  // A source that coincides with vd or misses it entirely is read in place
+  // from the packed mirror. A shifted overlap is staged first: the in-place
+  // loop would read elements it has already written.
+  const std::uint64_t epr = x.vrf.mapping().elems_per_reg(sizeof(T));
+  const auto regs = static_cast<unsigned>((n + epr - 1) / epr);
+  const auto source = [&](unsigned reg, std::vector<std::uint8_t>& stage) {
+    if (reg == in.vd || reg + regs <= in.vd || in.vd + regs <= reg) {
+      return reinterpret_cast<const T*>(x.vrf.packed_read_span(reg, n, sizeof(T)));
+    }
+    stage.resize(n * sizeof(T));
+    x.vrf.read_stream(reg, n, sizeof(T), stage.data());
+    return reinterpret_cast<const T*>(stage.data());
+  };
+  const T* a = x.spec.reads_vs2 ? source(in.vs2, x.buf.a) : nullptr;
+  const T* b = x.spec.reads_vs1 ? source(in.vs1, x.buf.b) : nullptr;
+  T* d = reinterpret_cast<T*>(x.vrf.packed_write_span(
+      in.vd, n, sizeof(T), x.spec.reads_vd || (in.masked && !kMergeRow)));
+  // An operand the op does not read points anywhere valid; the row ignores it.
+  if (a == nullptr) a = d;
+  if (b == nullptr) b = d;
+  const F f{};
+  const auto run = [&](auto masked) {
+    for (std::uint64_t i = 0; i < n; ++i) {
+      const T r = encode<K, T>(f(Elem<Val<K, T>, decltype(s)>{
+          decode<K>(a[i]), decode<K>(b[i]), decode<K>(d[i]), s, i}));
+      if constexpr (decltype(masked)::value) {
+        d[i] = m[i] != 0 ? r : (kMergeRow ? a[i] : d[i]);
+      } else {
+        d[i] = r;
+      }
+    }
+  };
+  m != nullptr ? run(std::true_type{}) : run(std::false_type{});
+}
+
+/// Rows whose destination is a mask register (kFpToMask, kMaskLogic).
+template <Kind K, typename F, typename T>
+void stream_bits(OpArgs& x) {
+  const auto s = scalar<K, T>(x);
+  const VInstr& in = x.in;
+  const std::uint64_t n = x.n;
+  using Src = std::conditional_t<K == kMaskLogic, std::uint8_t, T>;
+  const auto source = [&](bool reads, unsigned reg, std::vector<std::uint8_t>& stage) {
+    if (!reads) return static_cast<const Src*>(nullptr);
+    if constexpr (K == kMaskLogic) {
+      stage.resize(n);
+      x.vrf.read_mask_stream(reg, n, stage.data());
+      return static_cast<const Src*>(stage.data());
+    } else {
+      return reinterpret_cast<const Src*>(x.vrf.packed_read_span(reg, n, sizeof(T)));
+    }
+  };
+  const Src* a = source(x.spec.reads_vs2, in.vs2, x.buf.a);
+  const Src* b = source(x.spec.reads_vs1, in.vs1, x.buf.b);
+  if (b == nullptr) b = a;
+  const std::uint8_t* m = in.masked ? read_v0(x) : nullptr;
+  std::vector<std::uint8_t>& bits = x.buf.bits;
+  bits.resize(n);
+  if (m != nullptr) x.vrf.read_mask_stream(in.vd, n, bits.data());
+  const F f{};
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const bool r = f(Elem<Val<K, T>, decltype(s)>{
+        decode<K>(a[i]), decode<K>(b[i]), {}, s, i});
+    if (m == nullptr || m[i] != 0) bits[i] = r ? 1 : 0;
+  }
+  x.vrf.write_mask_stream(in.vd, n, bits.data());
+}
+
+template <typename F, typename T>
+void stream_fold(OpArgs& x) {
+  const VInstr& in = x.in;
+  const auto* a =
+      reinterpret_cast<const T*>(x.vrf.packed_read_span(in.vs2, x.n, sizeof(T)));
+  const std::uint8_t* m = in.masked ? read_v0(x) : nullptr;
+  double acc = fp_in(static_cast<T>(x.vrf.read_elem(in.vs1, 0, sizeof(T))));
+  const F f{};
+  if (m == nullptr) {
+    for (std::uint64_t i = 0; i < x.n; ++i) acc = f(acc, fp_in(a[i]));
+  } else {
+    for (std::uint64_t i = 0; i < x.n; ++i) {
+      if (m[i] != 0) acc = f(acc, fp_in(a[i]));
+    }
+  }
+  x.vrf.write_elem(in.vd, 0, sizeof(T), fp_result<T>(acc));
+}
+
+template <typename F, typename T>
+void stream_slide(OpArgs& x) {
+  const T s = scalar<kSlide, T>(x);
+  const VInstr& in = x.in;
+  const bool vf = x.spec.reads_scalar_acc_ok;
+  const auto n = static_cast<std::int64_t>(x.n);
+  // A slide is a shift, vd[i] = vs2[i + c], so its row is evaluated once;
+  // the reference evaluates it per element and the op matrix compares.
+  const std::int64_t c = F{}(0, slide_amount(x));
+  const std::int64_t count = std::clamp<std::int64_t>(n + c, 0, slide_limit(x));
+  // vs2 is staged: a slide reads elements other than the one it writes.
+  x.buf.a.resize(static_cast<std::uint64_t>(count) * sizeof(T));
+  if (count > 0) x.vrf.read_stream(in.vs2, count, sizeof(T), x.buf.a.data());
+  const auto* src = reinterpret_cast<const T*>(x.buf.a.data());
+  const std::uint8_t* m = in.masked ? read_v0(x) : nullptr;
+  T* d = reinterpret_cast<T*>(
+      x.vrf.packed_write_span(in.vd, x.n, sizeof(T), x.spec.reads_vd || in.masked));
+  const auto active = [&](std::int64_t i) { return m == nullptr || m[i] != 0; };
+  // [lo, hi) reads vs2; below lo the head is vacated, from hi the tail.
+  const std::int64_t lo = std::clamp<std::int64_t>(-c, 0, n);
+  const std::int64_t hi = std::clamp<std::int64_t>(count - c, lo, n);
+  for (std::int64_t i = 0; i < lo; ++i) {
+    if (vf && active(i)) d[i] = s;
+  }
+  if (m == nullptr && hi > lo) {
+    std::memcpy(d + lo, src + lo + c, static_cast<std::size_t>(hi - lo) * sizeof(T));
+  } else if (m != nullptr) {
+    for (std::int64_t i = lo; i < hi; ++i) {
+      if (m[i] != 0) d[i] = src[i + c];
+    }
+  }
+  for (std::int64_t i = hi; i < n; ++i) {
+    if (active(i)) d[i] = vf ? s : T{0};
+  }
+}
+
+// ---- reference loop ---------------------------------------------------------
+// The same rows, one element at a time through read_elem/write_elem/mask_bit.
+// Every result is computed before any is written, so each source is read as
+// it was before the op whatever the register overlap.
+
+template <typename F, typename T>
+void reference_fold(OpArgs& x) {
+  Vrf& vrf = x.vrf;
+  const VInstr& in = x.in;
+  const auto word = [&](unsigned reg, std::uint64_t i) {
+    return static_cast<T>(vrf.read_elem(reg, i, sizeof(T)));
+  };
+  double acc = fp_in(word(in.vs1, 0));
+  const F f{};
+  for (std::uint64_t i = 0; i < x.n; ++i) {
+    if (!in.masked || vrf.mask_bit(0, i)) acc = f(acc, fp_in(word(in.vs2, i)));
+  }
+  vrf.write_elem(in.vd, 0, sizeof(T), fp_result<T>(acc));
+}
+
+template <Kind K, typename F, typename T>
+void reference(OpArgs& x) {
+  const auto s = scalar<K, T>(x);
+  Vrf& vrf = x.vrf;
+  const VInstr& in = x.in;
+  const auto word = [&](unsigned reg, std::uint64_t i) {
+    return static_cast<T>(vrf.read_elem(reg, i, sizeof(T)));
+  };
+  const auto active = [&](std::uint64_t i) { return !in.masked || vrf.mask_bit(0, i); };
+  const F f{};
+  const auto operand = [&](bool reads, unsigned reg, std::uint64_t i) -> Val<K, T> {
+    if (!reads) return {};
+    if constexpr (K == kMaskLogic) {
+      return vrf.mask_bit(reg, i);
+    } else {
+      return decode<K>(word(reg, i));
+    }
+  };
+  const auto elem = [&](std::uint64_t i) {
+    return Elem<Val<K, T>, decltype(s)>{operand(x.spec.reads_vs2, in.vs2, i),
+                                        operand(x.spec.reads_vs1, in.vs1, i),
+                                        operand(x.spec.reads_vd, in.vd, i), s, i};
+  };
+  std::vector<std::pair<std::uint64_t, T>> writes;
+  for (std::uint64_t i = 0; i < x.n; ++i) {
+    if constexpr (K == kMerge) {
+      writes.emplace_back(
+          i, vrf.mask_bit(0, i) ? encode<K, T>(f(elem(i))) : word(in.vs2, i));
+    } else if constexpr (K == kSlide) {
+      if (!active(i)) continue;
+      const std::int64_t j = f(static_cast<std::int64_t>(i), slide_amount(x));
+      if (j >= 0 && j < slide_limit(x)) {
+        writes.emplace_back(i, word(in.vs2, static_cast<std::uint64_t>(j)));
+      } else if (x.spec.reads_scalar_acc_ok) {
+        writes.emplace_back(i, s);
+      } else if (j >= 0) {
+        writes.emplace_back(i, T{0});
+      }
+    } else if (active(i)) {
+      writes.emplace_back(i, encode<K, T>(f(elem(i))));
+    }
+  }
+  for (const auto& [i, v] : writes) {
+    if (x.spec.writes_mask) {
+      vrf.set_mask_bit(in.vd, i, v != 0);
+    } else {
+      vrf.write_elem(in.vd, i, sizeof(T), v);
+    }
+  }
+}
+
+struct OpRow {
+  Op op;
+  void (*stream)(OpArgs&);
+  void (*reference)(OpArgs&);
+};
+
+/// Instantiates both paths of one row for every legal SEW; each call
+/// dispatches on the SEW once, never per element.
+template <Kind K, typename F>
+constexpr OpRow row(Op op, F /*element lambda*/) {
+  return {op,
+          [](OpArgs& x) {
+            with_width<K>(x.ew, [&](auto word) {
+              using T = decltype(word);
+              if constexpr (K == kFold) {
+                stream_fold<F, T>(x);
+              } else if constexpr (K == kSlide) {
+                stream_slide<F, T>(x);
+              } else if constexpr (K == kFpToMask || K == kMaskLogic) {
+                stream_bits<K, F, T>(x);
+              } else {
+                stream_elems<K, F, T>(x);
+              }
+            });
+          },
+          [](OpArgs& x) {
+            with_width<K>(x.ew, [&](auto word) {
+              if constexpr (K == kFold) {
+                reference_fold<F, decltype(word)>(x);
+              } else {
+                reference<K, F, decltype(word)>(x);
+              }
+            });
+          }};
+}
+
+// Each op's semantics, once. Operand shape (which of vs2/vs1/vd an op
+// reads, .vf vs .vx scalar, element 0 only) comes from op_spec().
+constexpr OpRow kRows[] = {
+    // FP arithmetic: vd = f(vs2, vs1 or fs, vd)
+    row<kFp>(Op::kVfaddVV, [](auto e) { return e.a + e.b; }),
+    row<kFp>(Op::kVfaddVF, [](auto e) { return e.a + e.s; }),
+    row<kFp>(Op::kVfsubVV, [](auto e) { return e.a - e.b; }),
+    row<kFp>(Op::kVfsubVF, [](auto e) { return e.a - e.s; }),
+    row<kFp>(Op::kVfrsubVF, [](auto e) { return e.s - e.a; }),
+    row<kFp>(Op::kVfmulVV, [](auto e) { return e.a * e.b; }),
+    row<kFp>(Op::kVfmulVF, [](auto e) { return e.a * e.s; }),
+    row<kFp>(Op::kVfdivVV, [](auto e) { return e.a / e.b; }),
+    row<kFp>(Op::kVfdivVF, [](auto e) { return e.a / e.s; }),
+    row<kFp>(Op::kVfrdivVF, [](auto e) { return e.s / e.a; }),
+    row<kFp>(Op::kVfmaccVV, [](auto e) { return std::fma(e.b, e.a, e.d); }),
+    row<kFp>(Op::kVfmaccVF, [](auto e) { return std::fma(e.s, e.a, e.d); }),
+    row<kFp>(Op::kVfnmsacVV, [](auto e) { return std::fma(-e.b, e.a, e.d); }),
+    row<kFp>(Op::kVfnmsacVF, [](auto e) { return std::fma(-e.s, e.a, e.d); }),
+    row<kFp>(Op::kVfmaddVF, [](auto e) { return std::fma(e.d, e.s, e.a); }),
+    row<kFp>(Op::kVfmaddVV, [](auto e) { return std::fma(e.d, e.b, e.a); }),
+    row<kFp>(Op::kVfmsacVF, [](auto e) { return std::fma(e.s, e.a, -e.d); }),
+    row<kFp>(Op::kVfminVV, [](auto e) { return std::fmin(e.a, e.b); }),
+    row<kFp>(Op::kVfminVF, [](auto e) { return std::fmin(e.a, e.s); }),
+    row<kFp>(Op::kVfmaxVV, [](auto e) { return std::fmax(e.a, e.b); }),
+    row<kFp>(Op::kVfmaxVF, [](auto e) { return std::fmax(e.a, e.s); }),
+    row<kFp>(Op::kVfsqrtV, [](auto e) { return std::sqrt(e.a); }),
+    // FP words as bits: sign injection, scalar moves, conversions between
+    // signed SEW-bit integers and FP
+    row<kFpBits>(Op::kVfsgnjVV, [](auto e) { return sign_inject(e.a, e.b); }),
+    row<kFpBits>(Op::kVfsgnjnVV, [](auto e) { return sign_inject(e.a, ~e.b); }),
+    row<kFpBits>(Op::kVfmvVF, [](auto e) { return e.s; }),
+    row<kFpBits>(Op::kVfmvSF, [](auto e) { return e.s; }),
+    row<kFpBits>(Op::kVfcvtXF, [](auto e) { return fp_to_int(e.a); }),
+    row<kFpBits>(Op::kVfcvtFX, [](auto e) { return int_to_fp(e.a); }),
+    // Integer arithmetic, wrapping at SEW
+    row<kInt>(Op::kVaddVV, [](auto e) { return e.a + e.b; }),
+    row<kInt>(Op::kVaddVX, [](auto e) { return e.a + e.s; }),
+    row<kInt>(Op::kVsubVV, [](auto e) { return e.a - e.b; }),
+    row<kInt>(Op::kVrsubVX, [](auto e) { return e.s - e.a; }),
+    row<kInt>(Op::kVsllVX, [](auto e) { return wide(e.a) << e.s % e.kBits; }),
+    row<kInt>(Op::kVsrlVX, [](auto e) { return e.a >> e.s % e.kBits; }),
+    row<kInt>(Op::kVandVX, [](auto e) { return e.a & e.s; }),
+    row<kInt>(Op::kVmulVV, [](auto e) { return wide(e.a) * e.b; }),
+    row<kInt>(Op::kVmulVX, [](auto e) { return wide(e.a) * e.s; }),
+    row<kInt>(Op::kVmaccVV, [](auto e) { return e.d + wide(e.b) * e.a; }),
+    row<kInt>(Op::kVmaxVV, [](auto e) { return std::max(sgn(e.a), sgn(e.b)); }),
+    row<kInt>(Op::kVminVV, [](auto e) { return std::min(sgn(e.a), sgn(e.b)); }),
+    row<kInt>(Op::kVmvVX, [](auto e) { return e.s; }),
+    row<kInt>(Op::kVmvVV, [](auto e) { return e.b; }),
+    row<kInt>(Op::kVidV, [](auto e) { return e.i; }),
+    // Merges: vd = v0 ? f : vs2
+    row<kMerge>(Op::kVmergeVVM, [](auto e) { return e.b; }),
+    row<kMerge>(Op::kVfmergeVFM, [](auto e) { return e.s; }),
+    // Compares and mask logic into a mask register
+    row<kFpToMask>(Op::kVmfeqVV, [](auto e) { return e.a == e.b; }),
+    row<kFpToMask>(Op::kVmfltVV, [](auto e) { return e.a < e.b; }),
+    row<kFpToMask>(Op::kVmfleVV, [](auto e) { return e.a <= e.b; }),
+    row<kFpToMask>(Op::kVmfltVF, [](auto e) { return e.a < e.s; }),
+    row<kFpToMask>(Op::kVmfleVF, [](auto e) { return e.a <= e.s; }),
+    row<kFpToMask>(Op::kVmfgtVF, [](auto e) { return e.a > e.s; }),
+    row<kFpToMask>(Op::kVmfgeVF, [](auto e) { return e.a >= e.s; }),
+    row<kMaskLogic>(Op::kVmandMM, [](auto e) { return e.a && e.b; }),
+    row<kMaskLogic>(Op::kVmorMM, [](auto e) { return e.a || e.b; }),
+    row<kMaskLogic>(Op::kVmxorMM, [](auto e) { return e.a != e.b; }),
+    row<kMaskLogic>(Op::kVmandnMM, [](auto e) { return e.a && !e.b; }),
+    // Reductions: acc = f(acc, vs2[i]) from acc = vs1[0]
+    row<kFold>(Op::kVfredusum, [](double acc, double v) { return acc + v; }),
+    row<kFold>(Op::kVfredmax, [](double acc, double v) { return std::fmax(acc, v); }),
+    row<kFold>(Op::kVfredmin, [](double acc, double v) { return std::fmin(acc, v); }),
+    // Slides: the vs2 element j that lands in vd[i], for slide amount k
+    row<kSlide>(Op::kVfslide1up, [](std::int64_t i, std::int64_t) { return i - 1; }),
+    row<kSlide>(Op::kVfslide1down, [](std::int64_t i, std::int64_t) { return i + 1; }),
+    row<kSlide>(Op::kVslideupVX, [](std::int64_t i, std::int64_t k) { return i - k; }),
+    row<kSlide>(Op::kVslidedownVX, [](std::int64_t i, std::int64_t k) { return i + k; }),
+};
+
+constexpr auto kRowOf = [] {
+  std::array<const OpRow*, kNumOps> by_op{};
+  for (const OpRow& r : kRows) by_op[static_cast<std::size_t>(r.op)] = &r;
+  return by_op;
+}();
+static_assert(std::ranges::count(kRowOf, nullptr) + std::size(kRows) == kNumOps,
+              "an op has two rows");
+
 }  // namespace
 
 FunctionalEngine::FunctionalEngine(const MachineConfig& cfg, Vrf& vrf,
                                    MainMemory& mem)
     : cfg_(cfg), vrf_(vrf), mem_(mem) {}
 
-double FunctionalEngine::read_f(unsigned reg, std::uint64_t i) const {
-  switch (vtype_.sew) {
-    case Sew::k64: return vrf_.read_f64(reg, i);
-    case Sew::k32: return static_cast<double>(vrf_.read_f32(reg, i));
-    case Sew::k16:
-      return f16_to_f64(static_cast<std::uint16_t>(vrf_.read_elem(reg, i, 2)));
-    default: fail("FP operations require SEW of 16, 32 or 64");
-  }
-}
-
-void FunctionalEngine::write_f(unsigned reg, std::uint64_t i, double v) {
-  switch (vtype_.sew) {
-    case Sew::k64: vrf_.write_f64(reg, i, v); return;
-    case Sew::k32: vrf_.write_f32(reg, i, static_cast<float>(v)); return;
-    case Sew::k16: vrf_.write_elem(reg, i, 2, f64_to_f16(v)); return;
-    default: fail("FP operations require SEW of 16, 32 or 64");
-  }
-}
-
-std::uint64_t FunctionalEngine::read_x(unsigned reg, std::uint64_t i) const {
-  return vrf_.read_elem(reg, i, ew_bytes());
-}
-
-void FunctionalEngine::write_x(unsigned reg, std::uint64_t i, std::uint64_t v) {
-  vrf_.write_elem(reg, i, ew_bytes(), v);
+bool FunctionalEngine::in_op_table(Op op) {
+  return kRowOf[static_cast<std::size_t>(op)] != nullptr;
 }
 
 bool FunctionalEngine::active(const VInstr& in, std::uint64_t i) const {
   return !in.masked || vrf_.mask_bit(0, i);
 }
 
+bool FunctionalEngine::exec_row(const VInstr& in, bool reference_loop) {
+  const OpSpec& spec = op_spec(in.op);  // validates the opcode
+  const OpRow* r = kRowOf[static_cast<std::size_t>(in.op)];
+  if (r == nullptr) return false;
+  OpArgs x{vrf_, in, spec, ew_bytes(), spec.elem0_only ? 1 : vl_,
+           vlmax_, scalar_of(in), scratch_};
+  (reference_loop ? r->reference : r->stream)(x);
+  return true;
+}
+
 void FunctionalEngine::exec(const VInstr& in) {
   if (in.op == Op::kVsetvli) {
     vtype_ = in.vtype;
+    vlmax_ = vlmax(cfg_.effective_vlen(), vtype_);
     vl_ = vsetvl_result(cfg_.effective_vlen(), in.avl, in.vtype);
     return;
   }
-  const OpSpec& spec = op_spec(in.op);
   if (in.op == Op::kVfmvFS) {
     // Reads element 0 regardless of vl.
-    scalar_acc_ = read_f(in.vs2, 0);
+    with_width<kFp>(ew_bytes(), [&](auto word) {
+      using T = decltype(word);
+      scalar_acc_ = fp_in(static_cast<T>(vrf_.read_elem(in.vs2, 0, sizeof(T))));
+    });
     return;
   }
   if (in.op == Op::kVcpopM || in.op == Op::kVfirstM) {
     exec_mask_population(in);  // handles vl == 0 (count 0 / index -1)
     return;
   }
-  if (vl_ == 0) return;
+  if (vl_ == 0 || exec_row(in, false)) return;
 
+  const OpSpec& spec = op_spec(in.op);
   if (spec.reads_mem || spec.writes_mem) {
     exec_memory(in);
   } else if (spec.widens) {
     exec_widening(in);
   } else if (spec.is_gather) {
     exec_gather(in);
-  } else if (in.op == Op::kViotaM || in.op == Op::kVmsbfM ||
-             in.op == Op::kVmsifM || in.op == Op::kVmsofM) {
-    exec_mask_population(in);
-  } else if (spec.is_reduction) {
-    exec_reduction(in);
-  } else if (spec.is_slide) {
-    exec_slide(in);
-  } else if (spec.writes_mask || spec.unit == Unit::kMasku) {
-    exec_mask(in);
-  } else if (spec.unit == Unit::kFpu) {
-    exec_fp(in);
   } else {
-    exec_int(in);
+    exec_mask_population(in);
   }
+}
+
+void FunctionalEngine::exec_reference(const VInstr& in) {
+  if (vl_ == 0 || !exec_row(in, true)) exec(in);
 }
 
 void FunctionalEngine::exec_widening(const VInstr& in) {
@@ -166,13 +679,12 @@ void FunctionalEngine::exec_widening(const VInstr& in) {
 
 void FunctionalEngine::exec_gather(const VInstr& in) {
   const unsigned ew = ew_bytes();
-  const std::uint64_t vlmax_now = vlmax(cfg_.effective_vlen(), vtype_);
   if (in.op == Op::kVrgatherVV) {
     for (std::uint64_t i = 0; i < vl_; ++i) {
       if (!active(in, i)) continue;
       const std::uint64_t idx = vrf_.read_elem(in.vs1, i, ew);
       vrf_.write_elem(in.vd, i, ew,
-                      idx < vlmax_now ? vrf_.read_elem(in.vs2, idx, ew) : 0);
+                      idx < vlmax_ ? vrf_.read_elem(in.vs2, idx, ew) : 0);
     }
     return;
   }
@@ -210,7 +722,7 @@ void FunctionalEngine::exec_mask_population(const VInstr& in) {
     case Op::kViotaM: {
       std::uint64_t count = 0;
       for (std::uint64_t i = 0; i < vl_; ++i) {
-        if (active(in, i)) write_x(in.vd, i, count);
+        if (active(in, i)) vrf_.write_elem(in.vd, i, ew_bytes(), count);
         if (vrf_.mask_bit(in.vs2, i)) ++count;
       }
       return;
@@ -389,568 +901,6 @@ bool FunctionalEngine::exec_memory_bulk_masked_unit(const VInstr& in) {
     default: return false;
   }
   return true;
-}
-
-bool FunctionalEngine::exec_fp_bulk(const VInstr& in) {
-  if (in.masked) return false;
-  const unsigned ew = ew_bytes();
-  if (ew != 2 && ew != 4 && ew != 8) return false;
-  const OpSpec& spec = op_spec(in.op);
-  const std::uint64_t n = vl_;
-  const double fs = scalar_of(in);
-  // The opcode kernel, shared by both data paths below. Returns false for
-  // ops this bulk path doesn't cover (conversions etc. take the
-  // per-element path); probing with cnt == 0 answers "covered?" without
-  // touching any data.
-  const auto compute = [&](double* d, const double* a, const double* b,
-                           std::uint64_t cnt) -> bool {
-    switch (in.op) {
-      case Op::kVfaddVV: for (std::uint64_t i = 0; i < cnt; ++i) d[i] = a[i] + b[i]; break;
-      case Op::kVfaddVF: for (std::uint64_t i = 0; i < cnt; ++i) d[i] = a[i] + fs; break;
-      case Op::kVfsubVV: for (std::uint64_t i = 0; i < cnt; ++i) d[i] = a[i] - b[i]; break;
-      case Op::kVfsubVF: for (std::uint64_t i = 0; i < cnt; ++i) d[i] = a[i] - fs; break;
-      case Op::kVfrsubVF: for (std::uint64_t i = 0; i < cnt; ++i) d[i] = fs - a[i]; break;
-      case Op::kVfmulVV: for (std::uint64_t i = 0; i < cnt; ++i) d[i] = a[i] * b[i]; break;
-      case Op::kVfmulVF: for (std::uint64_t i = 0; i < cnt; ++i) d[i] = a[i] * fs; break;
-      case Op::kVfdivVV: for (std::uint64_t i = 0; i < cnt; ++i) d[i] = a[i] / b[i]; break;
-      case Op::kVfdivVF: for (std::uint64_t i = 0; i < cnt; ++i) d[i] = a[i] / fs; break;
-      case Op::kVfrdivVF: for (std::uint64_t i = 0; i < cnt; ++i) d[i] = fs / a[i]; break;
-      case Op::kVfmaccVV:
-        for (std::uint64_t i = 0; i < cnt; ++i) d[i] = std::fma(b[i], a[i], d[i]);
-        break;
-      case Op::kVfmaccVF:
-        for (std::uint64_t i = 0; i < cnt; ++i) d[i] = std::fma(fs, a[i], d[i]);
-        break;
-      case Op::kVfnmsacVV:
-        for (std::uint64_t i = 0; i < cnt; ++i) d[i] = std::fma(-b[i], a[i], d[i]);
-        break;
-      case Op::kVfnmsacVF:
-        for (std::uint64_t i = 0; i < cnt; ++i) d[i] = std::fma(-fs, a[i], d[i]);
-        break;
-      case Op::kVfmaddVF:
-        for (std::uint64_t i = 0; i < cnt; ++i) d[i] = std::fma(d[i], fs, a[i]);
-        break;
-      case Op::kVfmaddVV:
-        for (std::uint64_t i = 0; i < cnt; ++i) d[i] = std::fma(d[i], b[i], a[i]);
-        break;
-      case Op::kVfmsacVF:
-        for (std::uint64_t i = 0; i < cnt; ++i) d[i] = std::fma(fs, a[i], -d[i]);
-        break;
-      case Op::kVfminVV:
-        for (std::uint64_t i = 0; i < cnt; ++i) d[i] = std::fmin(a[i], b[i]);
-        break;
-      case Op::kVfminVF:
-        for (std::uint64_t i = 0; i < cnt; ++i) d[i] = std::fmin(a[i], fs);
-        break;
-      case Op::kVfmaxVV:
-        for (std::uint64_t i = 0; i < cnt; ++i) d[i] = std::fmax(a[i], b[i]);
-        break;
-      case Op::kVfmaxVF:
-        for (std::uint64_t i = 0; i < cnt; ++i) d[i] = std::fmax(a[i], fs);
-        break;
-      case Op::kVfsgnjVV:
-        for (std::uint64_t i = 0; i < cnt; ++i) d[i] = std::copysign(a[i], b[i]);
-        break;
-      case Op::kVfsgnjnVV:
-        for (std::uint64_t i = 0; i < cnt; ++i) d[i] = std::copysign(a[i], -b[i]);
-        break;
-      case Op::kVfsqrtV:
-        for (std::uint64_t i = 0; i < cnt; ++i) d[i] = std::sqrt(a[i]);
-        break;
-      default: return false;
-    }
-    return true;
-  };
-  if (!compute(nullptr, nullptr, nullptr, 0)) return false;
-
-  // SEW-64 zero-copy path: at SEW 64 the packed mirror bytes ARE the
-  // doubles, so when every operand group's mirror is valid the op computes
-  // directly in the mirror — no staging copies at all. Source and
-  // destination groups must coincide exactly or not overlap (the RVV
-  // legality rule the kernels follow); a shifted overlap would make the
-  // in-place elementwise loop read already-written elements where the
-  // staged path below reads the old ones.
-  if (ew == 8) {
-    const std::uint64_t epr = vrf_.mapping().elems_per_reg(8);
-    const auto group_regs = static_cast<unsigned>((n + epr - 1) / epr);
-    const auto clean = [&](unsigned src) {
-      return src == in.vd || src + group_regs <= in.vd ||
-             in.vd + group_regs <= src;
-    };
-    if (clean(in.vs2) && (!spec.reads_vs1 || clean(in.vs1))) {
-      const std::uint8_t* a8 = vrf_.packed_read_span(in.vs2, n, 8);
-      const std::uint8_t* b8 =
-          spec.reads_vs1 ? vrf_.packed_read_span(in.vs1, n, 8) : nullptr;
-      std::uint8_t* d8 = vrf_.packed_write_span(in.vd, n, 8, spec.reads_vd);
-      compute(reinterpret_cast<double*>(d8), reinterpret_cast<const double*>(a8),
-              reinterpret_cast<const double*>(b8), n);
-      return true;
-    }
-  }
-
-  const auto as_bytes = [](std::vector<double>& v) {
-    return reinterpret_cast<std::uint8_t*>(v.data());
-  };
-  // Stream a register into a double buffer, widening narrow elements. The
-  // widening is exact (f16/f32 -> f64 is injective), so computing in double
-  // and narrowing once on writeback matches the per-element path bit for
-  // bit — that path also reads wide, computes in double, and rounds once
-  // inside write_f.
-  const auto load_wide = [&](unsigned reg, std::vector<double>& dst) {
-    dst.resize(n);
-    if (ew == 8) {
-      vrf_.read_stream(reg, n, 8, as_bytes(dst));
-      return;
-    }
-    buf_mem_.resize(n * ew);
-    vrf_.read_stream(reg, n, ew, buf_mem_.data());
-    if (ew == 4) {
-      for (std::uint64_t i = 0; i < n; ++i) {
-        float f = 0.0F;
-        std::memcpy(&f, buf_mem_.data() + i * 4, 4);
-        dst[i] = static_cast<double>(f);
-      }
-    } else {
-      for (std::uint64_t i = 0; i < n; ++i) {
-        std::uint16_t h = 0;
-        std::memcpy(&h, buf_mem_.data() + i * 2, 2);
-        dst[i] = f16_to_f64(h);
-      }
-    }
-  };
-
-  // Gather the operand streams this opcode needs.
-  load_wide(in.vs2, buf_s2_);
-  const double* a = buf_s2_.data();
-  const double* b = nullptr;
-  if (spec.reads_vs1) {
-    load_wide(in.vs1, buf_s1_);
-    b = buf_s1_.data();
-  }
-  buf_d_.resize(n);
-  double* d = buf_d_.data();
-  if (spec.reads_vd) load_wide(in.vd, buf_d_);
-
-  compute(d, a, b, n);
-  if (ew == 8) {
-    vrf_.write_stream(in.vd, n, 8, as_bytes(buf_d_));
-  } else {
-    // Narrow once on writeback — the single rounding step shared with
-    // write_f on the per-element path.
-    buf_mem_.resize(n * ew);
-    if (ew == 4) {
-      for (std::uint64_t i = 0; i < n; ++i) {
-        const auto f = static_cast<float>(d[i]);
-        std::memcpy(buf_mem_.data() + i * 4, &f, 4);
-      }
-    } else {
-      for (std::uint64_t i = 0; i < n; ++i) {
-        const std::uint16_t h = f64_to_f16(d[i]);
-        std::memcpy(buf_mem_.data() + i * 2, &h, 2);
-      }
-    }
-    vrf_.write_stream(in.vd, n, ew, buf_mem_.data());
-  }
-  return true;
-}
-
-void FunctionalEngine::exec_fp(const VInstr& in) {
-  if (exec_fp_bulk(in)) return;
-  const double fs = scalar_of(in);
-  for (std::uint64_t i = 0; i < vl_; ++i) {
-    if (!active(in, i)) continue;
-    double result = 0.0;
-    switch (in.op) {
-      case Op::kVfaddVV: result = read_f(in.vs2, i) + read_f(in.vs1, i); break;
-      case Op::kVfaddVF: result = read_f(in.vs2, i) + fs; break;
-      case Op::kVfsubVV: result = read_f(in.vs2, i) - read_f(in.vs1, i); break;
-      case Op::kVfsubVF: result = read_f(in.vs2, i) - fs; break;
-      case Op::kVfrsubVF: result = fs - read_f(in.vs2, i); break;
-      case Op::kVfmulVV: result = read_f(in.vs2, i) * read_f(in.vs1, i); break;
-      case Op::kVfmulVF: result = read_f(in.vs2, i) * fs; break;
-      case Op::kVfdivVV: result = read_f(in.vs2, i) / read_f(in.vs1, i); break;
-      case Op::kVfdivVF: result = read_f(in.vs2, i) / fs; break;
-      case Op::kVfrdivVF: result = fs / read_f(in.vs2, i); break;
-      case Op::kVfmaccVV:
-        result = std::fma(read_f(in.vs1, i), read_f(in.vs2, i), read_f(in.vd, i));
-        break;
-      case Op::kVfmaccVF:
-        result = std::fma(fs, read_f(in.vs2, i), read_f(in.vd, i));
-        break;
-      case Op::kVfnmsacVV:
-        result = std::fma(-read_f(in.vs1, i), read_f(in.vs2, i), read_f(in.vd, i));
-        break;
-      case Op::kVfnmsacVF:
-        result = std::fma(-fs, read_f(in.vs2, i), read_f(in.vd, i));
-        break;
-      case Op::kVfmaddVF:
-        result = std::fma(read_f(in.vd, i), fs, read_f(in.vs2, i));
-        break;
-      case Op::kVfmaddVV:
-        result = std::fma(read_f(in.vd, i), read_f(in.vs1, i), read_f(in.vs2, i));
-        break;
-      case Op::kVfmsacVF:
-        result = std::fma(fs, read_f(in.vs2, i), -read_f(in.vd, i));
-        break;
-      case Op::kVfminVV: result = std::fmin(read_f(in.vs2, i), read_f(in.vs1, i)); break;
-      case Op::kVfminVF: result = std::fmin(read_f(in.vs2, i), fs); break;
-      case Op::kVfmaxVV: result = std::fmax(read_f(in.vs2, i), read_f(in.vs1, i)); break;
-      case Op::kVfmaxVF: result = std::fmax(read_f(in.vs2, i), fs); break;
-      case Op::kVfsgnjVV:
-        result = std::copysign(read_f(in.vs2, i), read_f(in.vs1, i));
-        break;
-      case Op::kVfsgnjnVV:
-        result = std::copysign(read_f(in.vs2, i), -read_f(in.vs1, i));
-        break;
-      case Op::kVfcvtXF: {
-        const double r = std::nearbyint(read_f(in.vs2, i));
-        write_x(in.vd, i, static_cast<std::uint64_t>(static_cast<std::int64_t>(r)));
-        continue;
-      }
-      case Op::kVfcvtFX: {
-        const auto x = static_cast<std::int64_t>(read_x(in.vs2, i));
-        result = static_cast<double>(x);
-        break;
-      }
-      case Op::kVfsqrtV: result = std::sqrt(read_f(in.vs2, i)); break;
-      default: fail("unhandled FP op");
-    }
-    write_f(in.vd, i, result);
-  }
-}
-
-template <typename T>
-void FunctionalEngine::exec_int_bulk_t(const VInstr& in) {
-  const OpSpec& spec = op_spec(in.op);
-  const std::uint64_t n = vl_;
-  constexpr unsigned kW = sizeof(T);
-  const unsigned bits = kW * 8;
-  const T xs = static_cast<T>(static_cast<std::uint64_t>(in.xs));
-
-  const bool needs_vs2 = in.op != Op::kVmvVX && in.op != Op::kVidV &&
-                         in.op != Op::kVmvVV;
-  const T* a = nullptr;
-  if (needs_vs2) {
-    buf_i2_.resize(n * kW);
-    vrf_.read_stream(in.vs2, n, kW, buf_i2_.data());
-    a = reinterpret_cast<const T*>(buf_i2_.data());
-  }
-  const T* b = nullptr;
-  if (spec.reads_vs1) {
-    buf_i1_.resize(n * kW);
-    vrf_.read_stream(in.vs1, n, kW, buf_i1_.data());
-    b = reinterpret_cast<const T*>(buf_i1_.data());
-  }
-  buf_id_.resize(n * kW);
-  T* d = reinterpret_cast<T*>(buf_id_.data());
-  if (spec.reads_vd) vrf_.read_stream(in.vd, n, kW, buf_id_.data());
-
-  using S = std::make_signed_t<T>;
-  switch (in.op) {
-    case Op::kVaddVV: for (std::uint64_t i = 0; i < n; ++i) d[i] = static_cast<T>(a[i] + b[i]); break;
-    case Op::kVaddVX: for (std::uint64_t i = 0; i < n; ++i) d[i] = static_cast<T>(a[i] + xs); break;
-    case Op::kVsubVV: for (std::uint64_t i = 0; i < n; ++i) d[i] = static_cast<T>(a[i] - b[i]); break;
-    case Op::kVsllVX: {
-      const unsigned sh = static_cast<unsigned>(static_cast<std::uint64_t>(in.xs) % bits);
-      for (std::uint64_t i = 0; i < n; ++i) d[i] = static_cast<T>(a[i] << sh);
-      break;
-    }
-    case Op::kVsrlVX: {
-      const unsigned sh = static_cast<unsigned>(static_cast<std::uint64_t>(in.xs) % bits);
-      for (std::uint64_t i = 0; i < n; ++i) d[i] = static_cast<T>(a[i] >> sh);
-      break;
-    }
-    case Op::kVandVX: for (std::uint64_t i = 0; i < n; ++i) d[i] = static_cast<T>(a[i] & xs); break;
-    case Op::kVmvVX: for (std::uint64_t i = 0; i < n; ++i) d[i] = xs; break;
-    case Op::kVmvVV: for (std::uint64_t i = 0; i < n; ++i) d[i] = b[i]; break;
-    case Op::kVidV: for (std::uint64_t i = 0; i < n; ++i) d[i] = static_cast<T>(i); break;
-    case Op::kVmulVV: for (std::uint64_t i = 0; i < n; ++i) d[i] = static_cast<T>(a[i] * b[i]); break;
-    case Op::kVmulVX: for (std::uint64_t i = 0; i < n; ++i) d[i] = static_cast<T>(a[i] * xs); break;
-    case Op::kVmaccVV:
-      for (std::uint64_t i = 0; i < n; ++i) d[i] = static_cast<T>(d[i] + b[i] * a[i]);
-      break;
-    case Op::kVrsubVX: for (std::uint64_t i = 0; i < n; ++i) d[i] = static_cast<T>(xs - a[i]); break;
-    case Op::kVmaxVV:
-      for (std::uint64_t i = 0; i < n; ++i) {
-        d[i] = static_cast<T>(std::max(static_cast<S>(a[i]), static_cast<S>(b[i])));
-      }
-      break;
-    case Op::kVminVV:
-      for (std::uint64_t i = 0; i < n; ++i) {
-        d[i] = static_cast<T>(std::min(static_cast<S>(a[i]), static_cast<S>(b[i])));
-      }
-      break;
-    default: fail("op not in the bulk integer set");
-  }
-  vrf_.write_stream(in.vd, n, kW, buf_id_.data());
-}
-
-bool FunctionalEngine::exec_int_bulk(const VInstr& in) {
-  if (in.masked) return false;
-  switch (in.op) {
-    case Op::kVaddVV: case Op::kVaddVX: case Op::kVsubVV: case Op::kVsllVX:
-    case Op::kVsrlVX: case Op::kVandVX: case Op::kVmvVX: case Op::kVmvVV:
-    case Op::kVidV: case Op::kVmulVV: case Op::kVmulVX: case Op::kVmaccVV:
-    case Op::kVrsubVX: case Op::kVmaxVV: case Op::kVminVV: break;
-    default: return false;  // merges, FP moves: per-element fallback
-  }
-  switch (ew_bytes()) {
-    case 1: exec_int_bulk_t<std::uint8_t>(in); return true;
-    case 2: exec_int_bulk_t<std::uint16_t>(in); return true;
-    case 4: exec_int_bulk_t<std::uint32_t>(in); return true;
-    case 8: exec_int_bulk_t<std::uint64_t>(in); return true;
-    default: return false;
-  }
-}
-
-void FunctionalEngine::exec_int(const VInstr& in) {
-  if (exec_int_bulk(in)) return;
-  const unsigned bits = sew_bits(vtype_.sew);
-  const std::uint64_t mask =
-      bits >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << bits) - 1);
-  const auto xs = static_cast<std::uint64_t>(in.xs);
-  for (std::uint64_t i = 0; i < vl_; ++i) {
-    if (!active(in, i) && in.op != Op::kVmergeVVM && in.op != Op::kVfmergeVFM) {
-      continue;
-    }
-    switch (in.op) {
-      case Op::kVaddVV: write_x(in.vd, i, (read_x(in.vs2, i) + read_x(in.vs1, i)) & mask); break;
-      case Op::kVaddVX: write_x(in.vd, i, (read_x(in.vs2, i) + xs) & mask); break;
-      case Op::kVsubVV: write_x(in.vd, i, (read_x(in.vs2, i) - read_x(in.vs1, i)) & mask); break;
-      case Op::kVsllVX: write_x(in.vd, i, (read_x(in.vs2, i) << (xs % bits)) & mask); break;
-      case Op::kVsrlVX: write_x(in.vd, i, (read_x(in.vs2, i) & mask) >> (xs % bits)); break;
-      case Op::kVandVX: write_x(in.vd, i, read_x(in.vs2, i) & xs & mask); break;
-      case Op::kVmvVX: write_x(in.vd, i, xs & mask); break;
-      case Op::kVmvVV: write_x(in.vd, i, read_x(in.vs1, i)); break;
-      case Op::kVfmvVF: write_f(in.vd, i, scalar_of(in)); break;
-      case Op::kVfmvSF:
-        if (i == 0) write_f(in.vd, 0, scalar_of(in));
-        break;
-      case Op::kVidV: write_x(in.vd, i, i & mask); break;
-      case Op::kVmergeVVM:
-        write_x(in.vd, i, vrf_.mask_bit(0, i) ? read_x(in.vs1, i) : read_x(in.vs2, i));
-        break;
-      case Op::kVfmergeVFM:
-        if (vrf_.mask_bit(0, i)) {
-          write_f(in.vd, i, scalar_of(in));
-        } else {
-          write_x(in.vd, i, read_x(in.vs2, i));
-        }
-        break;
-      case Op::kVmulVV:
-        write_x(in.vd, i, (read_x(in.vs2, i) * read_x(in.vs1, i)) & mask);
-        break;
-      case Op::kVmulVX: write_x(in.vd, i, (read_x(in.vs2, i) * xs) & mask); break;
-      case Op::kVmaccVV:
-        write_x(in.vd, i,
-                (read_x(in.vd, i) + read_x(in.vs1, i) * read_x(in.vs2, i)) & mask);
-        break;
-      case Op::kVrsubVX: write_x(in.vd, i, (xs - read_x(in.vs2, i)) & mask); break;
-      case Op::kVmaxVV:
-      case Op::kVminVV: {
-        // Signed comparison at the current SEW: sign-extend stored bits.
-        const auto sext = [&](std::uint64_t v) -> std::int64_t {
-          if (bits >= 64) return static_cast<std::int64_t>(v);
-          const std::uint64_t sign = std::uint64_t{1} << (bits - 1);
-          return static_cast<std::int64_t>(((v & mask) ^ sign) - sign);
-        };
-        const std::int64_t a = sext(read_x(in.vs2, i));
-        const std::int64_t b = sext(read_x(in.vs1, i));
-        const std::int64_t r =
-            in.op == Op::kVmaxVV ? std::max(a, b) : std::min(a, b);
-        write_x(in.vd, i, static_cast<std::uint64_t>(r) & mask);
-        break;
-      }
-      default: fail("unhandled integer/move op");
-    }
-  }
-}
-
-void FunctionalEngine::exec_reduction(const VInstr& in) {
-  double acc = read_f(in.vs1, 0);
-  if (vtype_.sew == Sew::k64 && !in.masked) {
-    // Bulk path: one stream read, then a pure accumulate loop.
-    buf_s2_.resize(vl_);
-    vrf_.read_stream(in.vs2, vl_, 8,
-                     reinterpret_cast<std::uint8_t*>(buf_s2_.data()));
-    const double* v = buf_s2_.data();
-    switch (in.op) {
-      case Op::kVfredusum:
-        for (std::uint64_t i = 0; i < vl_; ++i) acc += v[i];
-        break;
-      case Op::kVfredmax:
-        for (std::uint64_t i = 0; i < vl_; ++i) acc = std::fmax(acc, v[i]);
-        break;
-      case Op::kVfredmin:
-        for (std::uint64_t i = 0; i < vl_; ++i) acc = std::fmin(acc, v[i]);
-        break;
-      default: fail("unhandled reduction");
-    }
-    write_f(in.vd, 0, acc);
-    return;
-  }
-  for (std::uint64_t i = 0; i < vl_; ++i) {
-    if (!active(in, i)) continue;
-    const double v = read_f(in.vs2, i);
-    switch (in.op) {
-      case Op::kVfredusum: acc += v; break;
-      case Op::kVfredmax: acc = std::fmax(acc, v); break;
-      case Op::kVfredmin: acc = std::fmin(acc, v); break;
-      default: fail("unhandled reduction");
-    }
-  }
-  write_f(in.vd, 0, acc);
-}
-
-bool FunctionalEngine::exec_slide_bulk64(const VInstr& in) {
-  if (in.masked || vtype_.sew != Sew::k64) return false;
-  if (in.op != Op::kVfslide1up && in.op != Op::kVfslide1down) return false;
-  const std::uint64_t n = vl_;
-  buf_s2_.resize(n);
-  vrf_.read_stream(in.vs2, n, 8, reinterpret_cast<std::uint8_t*>(buf_s2_.data()));
-  buf_d_.resize(n);
-  if (in.op == Op::kVfslide1up) {
-    std::memmove(buf_d_.data() + 1, buf_s2_.data(), (n - 1) * sizeof(double));
-    buf_d_[0] = scalar_of(in);
-  } else {
-    std::memmove(buf_d_.data(), buf_s2_.data() + 1, (n - 1) * sizeof(double));
-    buf_d_[n - 1] = scalar_of(in);
-  }
-  vrf_.write_stream(in.vd, n, 8, reinterpret_cast<std::uint8_t*>(buf_d_.data()));
-  return true;
-}
-
-void FunctionalEngine::exec_slide(const VInstr& in) {
-  if (exec_slide_bulk64(in)) return;
-  const std::uint64_t vlmax_now = vlmax(cfg_.effective_vlen(), vtype_);
-  switch (in.op) {
-    case Op::kVfslide1up: {
-      // vd must not overlap vs2 (enforced by the builder): descending copy
-      // is safe either way.
-      for (std::uint64_t i = vl_; i-- > 1;) {
-        if (active(in, i)) write_f(in.vd, i, read_f(in.vs2, i - 1));
-      }
-      if (active(in, 0)) write_f(in.vd, 0, scalar_of(in));
-      return;
-    }
-    case Op::kVfslide1down: {
-      for (std::uint64_t i = 0; i + 1 < vl_; ++i) {
-        if (active(in, i)) write_f(in.vd, i, read_f(in.vs2, i + 1));
-      }
-      if (vl_ > 0 && active(in, vl_ - 1)) write_f(in.vd, vl_ - 1, scalar_of(in));
-      return;
-    }
-    case Op::kVslideupVX: {
-      const auto k = static_cast<std::uint64_t>(in.xs);
-      for (std::uint64_t i = vl_; i-- > k;) {
-        if (active(in, i)) write_x(in.vd, i, read_x(in.vs2, i - k));
-      }
-      return;  // elements [0, k) remain undisturbed
-    }
-    case Op::kVslidedownVX: {
-      const auto k = static_cast<std::uint64_t>(in.xs);
-      for (std::uint64_t i = 0; i < vl_; ++i) {
-        if (!active(in, i)) continue;
-        const std::uint64_t src = i + k;
-        write_x(in.vd, i, src < vlmax_now ? read_x(in.vs2, src) : 0);
-      }
-      return;
-    }
-    default: fail("unhandled slide");
-  }
-}
-
-bool FunctionalEngine::exec_mask_bulk(const VInstr& in) {
-  if (in.masked) return false;
-  const std::uint64_t n = vl_;
-  switch (in.op) {
-    // Mask-logical: one dedicated loop per opcode over the bit accessors —
-    // no per-element opcode switch or mask-predicate re-test.
-    case Op::kVmandMM:
-      for (std::uint64_t i = 0; i < n; ++i) {
-        vrf_.set_mask_bit(in.vd, i, vrf_.mask_bit(in.vs2, i) && vrf_.mask_bit(in.vs1, i));
-      }
-      return true;
-    case Op::kVmorMM:
-      for (std::uint64_t i = 0; i < n; ++i) {
-        vrf_.set_mask_bit(in.vd, i, vrf_.mask_bit(in.vs2, i) || vrf_.mask_bit(in.vs1, i));
-      }
-      return true;
-    case Op::kVmxorMM:
-      for (std::uint64_t i = 0; i < n; ++i) {
-        vrf_.set_mask_bit(in.vd, i, vrf_.mask_bit(in.vs2, i) != vrf_.mask_bit(in.vs1, i));
-      }
-      return true;
-    case Op::kVmandnMM:
-      for (std::uint64_t i = 0; i < n; ++i) {
-        vrf_.set_mask_bit(in.vd, i, vrf_.mask_bit(in.vs2, i) && !vrf_.mask_bit(in.vs1, i));
-      }
-      return true;
-    default: break;
-  }
-  if (vtype_.sew != Sew::k64) return false;
-  // SEW=64 compares: gather the operand streams once, then a tight
-  // compare-and-set loop per opcode.
-  buf_s2_.resize(n);
-  vrf_.read_stream(in.vs2, n, 8, reinterpret_cast<std::uint8_t*>(buf_s2_.data()));
-  const double* a = buf_s2_.data();
-  const double fs = scalar_of(in);
-  const double* b = nullptr;
-  if (op_spec(in.op).reads_vs1) {
-    buf_s1_.resize(n);
-    vrf_.read_stream(in.vs1, n, 8, reinterpret_cast<std::uint8_t*>(buf_s1_.data()));
-    b = buf_s1_.data();
-  }
-  switch (in.op) {
-    case Op::kVmfeqVV:
-      for (std::uint64_t i = 0; i < n; ++i) vrf_.set_mask_bit(in.vd, i, a[i] == b[i]);
-      return true;
-    case Op::kVmfltVV:
-      for (std::uint64_t i = 0; i < n; ++i) vrf_.set_mask_bit(in.vd, i, a[i] < b[i]);
-      return true;
-    case Op::kVmfleVV:
-      for (std::uint64_t i = 0; i < n; ++i) vrf_.set_mask_bit(in.vd, i, a[i] <= b[i]);
-      return true;
-    case Op::kVmfltVF:
-      for (std::uint64_t i = 0; i < n; ++i) vrf_.set_mask_bit(in.vd, i, a[i] < fs);
-      return true;
-    case Op::kVmfleVF:
-      for (std::uint64_t i = 0; i < n; ++i) vrf_.set_mask_bit(in.vd, i, a[i] <= fs);
-      return true;
-    case Op::kVmfgtVF:
-      for (std::uint64_t i = 0; i < n; ++i) vrf_.set_mask_bit(in.vd, i, a[i] > fs);
-      return true;
-    case Op::kVmfgeVF:
-      for (std::uint64_t i = 0; i < n; ++i) vrf_.set_mask_bit(in.vd, i, a[i] >= fs);
-      return true;
-    default: return false;
-  }
-}
-
-void FunctionalEngine::exec_mask(const VInstr& in) {
-  if (exec_mask_bulk(in)) return;
-  const double fs = scalar_of(in);
-  for (std::uint64_t i = 0; i < vl_; ++i) {
-    if (!active(in, i)) continue;
-    bool bit = false;
-    switch (in.op) {
-      case Op::kVmfeqVV: bit = read_f(in.vs2, i) == read_f(in.vs1, i); break;
-      case Op::kVmfltVV: bit = read_f(in.vs2, i) < read_f(in.vs1, i); break;
-      case Op::kVmfleVV: bit = read_f(in.vs2, i) <= read_f(in.vs1, i); break;
-      case Op::kVmfltVF: bit = read_f(in.vs2, i) < fs; break;
-      case Op::kVmfleVF: bit = read_f(in.vs2, i) <= fs; break;
-      case Op::kVmfgtVF: bit = read_f(in.vs2, i) > fs; break;
-      case Op::kVmfgeVF: bit = read_f(in.vs2, i) >= fs; break;
-      case Op::kVmandMM: bit = vrf_.mask_bit(in.vs2, i) && vrf_.mask_bit(in.vs1, i); break;
-      case Op::kVmorMM: bit = vrf_.mask_bit(in.vs2, i) || vrf_.mask_bit(in.vs1, i); break;
-      case Op::kVmxorMM: bit = vrf_.mask_bit(in.vs2, i) != vrf_.mask_bit(in.vs1, i); break;
-      case Op::kVmandnMM:
-        bit = vrf_.mask_bit(in.vs2, i) && !vrf_.mask_bit(in.vs1, i);
-        break;
-      default: fail("unhandled mask op");
-    }
-    vrf_.set_mask_bit(in.vd, i, bit);
-  }
 }
 
 }  // namespace araxl

@@ -6,6 +6,20 @@
 // machine/timing.cpp models when each element becomes visible. The split is
 // sound because the timing model enforces the same program-order dataflow
 // the functional engine assumes (hazards + chaining).
+//
+// Elementwise, reduction and slide ops come from one op table (`kRows` in
+// functional.cpp). Each op is one row: an element class (int, fp, fp->mask,
+// mask logic, merge, FP bits for conversions, sign injection and FP moves,
+// fold, slide) and one element lambda. Which registers it reads, and
+// whether its scalar is fs or xs, comes from op_spec(). One stream executor
+// runs every row. It dispatches on the row and SEW once per instruction,
+// reads v0 once, computes on packed register spans (in place when sources
+// coincide with vd or miss it) and keeps the exact bits of masked-off
+// elements. FP at SEW 16/32 is widened to double and rounded once on
+// writeback; an FP result that is NaN is the canonical NaN, as in RISC-V.
+// A per-element loop over the same rows is the reference that tests
+// compare the stream executor against; nothing selects it at run time.
+// Memory, widening, gather and mask-population ops have their own paths.
 #ifndef ARAXL_MACHINE_FUNCTIONAL_HPP
 #define ARAXL_MACHINE_FUNCTIONAL_HPP
 
@@ -19,12 +33,24 @@
 
 namespace araxl {
 
+/// Scratch of the op-table executor (capacity persists across instructions).
+struct OpScratch {
+  std::vector<std::uint8_t> a, b;  ///< staged vs2 / vs1
+  std::vector<std::uint8_t> v0;    ///< v0 bits, one byte each
+  std::vector<std::uint8_t> bits;  ///< mask-destination bits, one byte each
+};
+
 class FunctionalEngine {
  public:
   FunctionalEngine(const MachineConfig& cfg, Vrf& vrf, MainMemory& mem);
 
   /// Executes one vector instruction (including vsetvli) architecturally.
   void exec(const VInstr& in);
+  /// exec(), except that an op-table op runs through the per-element
+  /// reference loop. For tests that check the stream executor.
+  void exec_reference(const VInstr& in);
+  /// Whether `op` is executed from the op table.
+  [[nodiscard]] static bool in_op_table(Op op);
 
   [[nodiscard]] std::uint64_t vl() const noexcept { return vl_; }
   [[nodiscard]] Vtype vtype() const noexcept { return vtype_; }
@@ -34,17 +60,14 @@ class FunctionalEngine {
   [[nodiscard]] std::int64_t scalar_iacc() const noexcept { return scalar_iacc_; }
 
  private:
-  // Element accessors honouring the current SEW.
-  [[nodiscard]] double read_f(unsigned reg, std::uint64_t i) const;
-  void write_f(unsigned reg, std::uint64_t i, double v);
-  [[nodiscard]] std::uint64_t read_x(unsigned reg, std::uint64_t i) const;
-  void write_x(unsigned reg, std::uint64_t i, std::uint64_t v);
   [[nodiscard]] bool active(const VInstr& in, std::uint64_t i) const;
   [[nodiscard]] unsigned ew_bytes() const { return sew_bytes(vtype_.sew); }
   [[nodiscard]] double scalar_of(const VInstr& in) const {
     return in.fs_from_acc ? scalar_acc_ : in.fs;
   }
 
+  /// Runs `in` from the op table; false when the op has no row.
+  bool exec_row(const VInstr& in, bool reference_loop);
   void exec_memory(const VInstr& in);
   /// Bulk unmasked constant-stride path (vlse/vsse): one bounds check for
   /// the whole transfer, a tight fixed-width gather/scatter loop through
@@ -57,32 +80,6 @@ class FunctionalEngine {
   /// only. Returns false when any byte of the range is out of bounds —
   /// the per-element fallback then reports the exact faulting element.
   bool exec_memory_bulk_masked_unit(const VInstr& in);
-  void exec_fp(const VInstr& in);
-  /// Bulk unmasked FP path at SEW 16/32/64: operands streamed into
-  /// contiguous scratch (narrow elements widened to double — bit-exact
-  /// with the per-element path, which also computes in double and rounds
-  /// once on writeback), one tight loop per opcode, result narrowed and
-  /// streamed back. Returns false when the op/shape needs the per-element
-  /// fallback.
-  bool exec_fp_bulk(const VInstr& in);
-  void exec_int(const VInstr& in);
-  /// Bulk unmasked integer/move path at any SEW: operands streamed into
-  /// fixed-width scratch, one tight native-width loop per opcode (wrapping
-  /// arithmetic replaces the per-element mask dance), result streamed back.
-  /// Returns false when the op/shape needs the per-element fallback.
-  bool exec_int_bulk(const VInstr& in);
-  template <typename T>
-  void exec_int_bulk_t(const VInstr& in);
-  void exec_reduction(const VInstr& in);
-  void exec_slide(const VInstr& in);
-  /// Bulk unmasked SEW=64 slide1up/slide1down: one source stream, a shifted
-  /// memmove in scratch, one destination stream (the jacobi2d hot path).
-  bool exec_slide_bulk64(const VInstr& in);
-  void exec_mask(const VInstr& in);
-  /// Flattened mask paths: dedicated per-opcode loops (no per-element
-  /// opcode switch), with SEW=64 compare operands gathered through the
-  /// bulk streams. Returns false for shapes the fallback must handle.
-  bool exec_mask_bulk(const VInstr& in);
   void exec_widening(const VInstr& in);
   void exec_gather(const VInstr& in);
   void exec_mask_population(const VInstr& in);
@@ -91,20 +88,14 @@ class FunctionalEngine {
   Vrf& vrf_;
   MainMemory& mem_;
   Vtype vtype_{};
+  std::uint64_t vlmax_ = 0;  ///< of vtype_
   std::uint64_t vl_ = 0;
   double scalar_acc_ = 0.0;
   std::int64_t scalar_iacc_ = 0;
 
-  // Scratch for the bulk FP path (capacity persists across instructions).
-  std::vector<double> buf_s2_;
-  std::vector<double> buf_s1_;
-  std::vector<double> buf_d_;
-  // Scratch for the bulk strided memory path.
+  OpScratch scratch_;
+  // Scratch for the bulk memory paths.
   std::vector<std::uint8_t> buf_mem_;
-  // Scratch for the bulk integer path (raw element bytes at the active SEW).
-  std::vector<std::uint8_t> buf_i2_;
-  std::vector<std::uint8_t> buf_i1_;
-  std::vector<std::uint8_t> buf_id_;
 };
 
 }  // namespace araxl

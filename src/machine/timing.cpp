@@ -612,7 +612,8 @@ void TimingEngine::tick_cva6(Cycle t) {
   Pending p;
   p.in = in;
   p.prog_index = pc_;
-  p.vl = in.op == Op::kVfmvSF ? std::min<std::uint64_t>(1, fn_.vl()) : fn_.vl();
+  p.vl = op_spec(in.op).elem0_only ? std::min<std::uint64_t>(1, fn_.vl())
+                                    : fn_.vl();
   p.ew = sew_bytes(fn_.vtype().sew);
   p.group_regs = fn_.vtype().lmul.group_regs();
   p.issued_at = t;

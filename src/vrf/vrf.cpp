@@ -172,18 +172,15 @@ std::uint8_t* Vrf::packed_write_span(unsigned base_vreg, std::uint64_t vl,
   return mirror_.data() + base_vreg * reg_bytes_;
 }
 
-bool Vrf::mask_bit_in(unsigned vreg, std::uint64_t i, MaskLayout layout) const {
-  flush_mirror(vreg);
+bool Vrf::lane_mask_bit(unsigned vreg, std::uint64_t i, MaskLayout layout) const {
   const MaskBitLoc loc = mask_bit_loc(map_, layout, i);
   const std::uint8_t byte =
       bytes_[chunk_index(loc.cluster, loc.lane, vreg, loc.byte_offset)];
   return ((byte >> loc.bit) & 1u) != 0;
 }
 
-void Vrf::set_mask_bit_in(unsigned vreg, std::uint64_t i, MaskLayout layout,
-                          bool value) {
-  flush_mirror(vreg);
-  mirror_state_[vreg] = MirrorState::kInvalid;
+void Vrf::set_lane_mask_bit(unsigned vreg, std::uint64_t i, MaskLayout layout,
+                            bool value) {
   const MaskBitLoc loc = mask_bit_loc(map_, layout, i);
   std::uint8_t& byte =
       bytes_[chunk_index(loc.cluster, loc.lane, vreg, loc.byte_offset)];
@@ -194,12 +191,41 @@ void Vrf::set_mask_bit_in(unsigned vreg, std::uint64_t i, MaskLayout layout,
   }
 }
 
+bool Vrf::mask_bit_in(unsigned vreg, std::uint64_t i, MaskLayout layout) const {
+  flush_mirror(vreg);
+  return lane_mask_bit(vreg, i, layout);
+}
+
+void Vrf::set_mask_bit_in(unsigned vreg, std::uint64_t i, MaskLayout layout,
+                          bool value) {
+  flush_mirror(vreg);
+  mirror_state_[vreg] = MirrorState::kInvalid;
+  set_lane_mask_bit(vreg, i, layout, value);
+}
+
 bool Vrf::mask_bit(unsigned vreg, std::uint64_t i) const {
   return mask_bit_in(vreg, i, mask_layout_);
 }
 
 void Vrf::set_mask_bit(unsigned vreg, std::uint64_t i, bool value) {
   set_mask_bit_in(vreg, i, mask_layout_, value);
+}
+
+void Vrf::read_mask_stream(unsigned vreg, std::uint64_t n,
+                           std::uint8_t* dst) const {
+  flush_mirror(vreg);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    dst[i] = lane_mask_bit(vreg, i, mask_layout_) ? 1 : 0;
+  }
+}
+
+void Vrf::write_mask_stream(unsigned vreg, std::uint64_t n,
+                            const std::uint8_t* src) {
+  flush_mirror(vreg);
+  mirror_state_[vreg] = MirrorState::kInvalid;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    set_lane_mask_bit(vreg, i, mask_layout_, src[i] != 0);
+  }
 }
 
 std::uint64_t Vrf::reshuffle_mask(unsigned vreg, MaskLayout from, MaskLayout to,

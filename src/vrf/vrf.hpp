@@ -149,6 +149,11 @@ class Vrf {
   // ---- mask registers ------------------------------------------------------
   [[nodiscard]] bool mask_bit(unsigned vreg, std::uint64_t i) const;
   void set_mask_bit(unsigned vreg, std::uint64_t i, bool value);
+  /// Bits [0, n) of mask register `vreg`, one byte (0 or 1) per bit:
+  /// mask_bit over the range, with one mirror flush for the whole call.
+  void read_mask_stream(unsigned vreg, std::uint64_t n, std::uint8_t* dst) const;
+  /// Sets bits [0, n) of `vreg` from `src` (nonzero = set), one flush.
+  void write_mask_stream(unsigned vreg, std::uint64_t n, const std::uint8_t* src);
 
   /// Converts mask register `vreg` (first `bits` bits) between layouts —
   /// the reshuffle operation of paper §III-B.5. Returns the number of bits
@@ -182,6 +187,11 @@ class Vrf {
   [[nodiscard]] bool mask_bit_in(unsigned vreg, std::uint64_t i,
                                  MaskLayout layout) const;
   void set_mask_bit_in(unsigned vreg, std::uint64_t i, MaskLayout layout, bool value);
+  /// Mask bit access on the lane bytes alone; the caller flushes the mirror.
+  [[nodiscard]] bool lane_mask_bit(unsigned vreg, std::uint64_t i,
+                                   MaskLayout layout) const;
+  void set_lane_mask_bit(unsigned vreg, std::uint64_t i, MaskLayout layout,
+                         bool value);
 
   /// Materializes a dirty mirror into the lane bytes. The inline wrapper
   /// keeps the common no-op check out of the transpose path. Const because

@@ -7,6 +7,11 @@
 set -u
 
 ARAXL=${1:?usage: cli_exit_codes.sh /path/to/araxl}
+# The tests run in a temporary directory: anchor a relative path first.
+case $ARAXL in
+  /*) ;;
+  */*) ARAXL=$PWD/$ARAXL ;;
+esac
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 cd "$WORK" || exit 99

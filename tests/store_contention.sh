@@ -13,6 +13,11 @@
 set -u
 
 ARAXL=${1:?usage: store_contention.sh /path/to/araxl}
+# The tests run in a temporary directory: anchor a relative path first.
+case $ARAXL in
+  /*) ;;
+  */*) ARAXL=$PWD/$ARAXL ;;
+esac
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 cd "$WORK" || exit 99

@@ -5,10 +5,9 @@
 // golden bytes.
 #include <gtest/gtest.h>
 
-#include <array>
-#include <cstring>
-#include <numeric>
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "common/contracts.hpp"
 #include "common/rng.hpp"
@@ -159,10 +158,14 @@ JobResult golden_result() {
   r.job.seed = 42;
   r.ok = true;
   // Every RunStats word distinct and non-zero: 1001, 1002, ... in member
-  // order.
-  std::array<std::uint64_t, sizeof(RunStats) / sizeof(std::uint64_t)> words{};
-  std::iota(words.begin(), words.end(), 1001);
-  std::memcpy(&r.stats, words.data(), sizeof(r.stats));
+  // order, which is address order.
+  std::vector<std::uint64_t*> words;
+  for (const StatField& f : kRunStatsFields) {
+    for (std::uint64_t& w : f.words(r.stats)) words.push_back(&w);
+  }
+  std::ranges::sort(words);
+  std::uint64_t next = 1001;
+  for (std::uint64_t* w : words) *w = next++;
   r.verified = true;
   r.tolerance = 1e-12;
   r.verify.checked = 512;

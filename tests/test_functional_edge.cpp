@@ -3,12 +3,17 @@
 // kernel's clamp masks.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <variant>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "kernels/common.hpp"
 #include "kernels/exp_core.hpp"
+#include "machine/functional.hpp"
 #include "machine/machine.hpp"
 
 namespace araxl {
@@ -154,8 +159,9 @@ TEST_P(LmulSweep, ElementwiseAcrossGroups) {
 INSTANTIATE_TEST_SUITE_P(AllLmuls, LmulSweep, testing::Values(-1, 0, 1, 2, 3),
                          [](const testing::TestParamInfo<int>& info) {
                            const int v = info.param;
-                           return v < 0 ? "mf" + std::to_string(1 << -v)
-                                        : "m" + std::to_string(1 << v);
+                           std::string name = v < 0 ? "mf" : "m";
+                           name += std::to_string(1 << (v < 0 ? -v : v));
+                           return name;
                          });
 
 class NarrowMem : public testing::TestWithParam<Sew> {};
@@ -302,43 +308,51 @@ TEST(BulkMaskedMemEdge, OobTailInactiveFallsBackToPerElement) {
 class NarrowFpBulk : public testing::TestWithParam<Sew> {};
 
 TEST_P(NarrowFpBulk, BulkMatchesPerElementBitForBit) {
-  // Differential check of the narrow-SEW bulk FP path against the
-  // per-element path: a masked op with an all-ones mask computes the same
-  // elements but is routed per element (the bulk path declines masked
-  // shapes), so the two destinations must agree bit for bit.
+  // Differential check of the narrow-SEW stream path against the
+  // per-element reference loop: one machine runs the program, a second
+  // VRF with the same contents replays it through
+  // FunctionalEngine::exec_reference, and every register the program
+  // writes must agree bit for bit, masked-off elements included.
   const Sew sew = GetParam();
   const unsigned ew = sew_bytes(sew);
   Machine m = small_machine();
+  Machine r = small_machine();
+  FunctionalEngine reference(r.config(), r.vrf(), r.mem());
   const std::uint64_t vl = 157;
   ProgramBuilder pb(m.config().effective_vlen(), "nfpbulk");
   pb.vsetvli(vl, sew, kLmul2);
-  pb.vfmul_vv(16, 8, 12);                   // bulk
-  pb.vfmul_vv(20, 8, 12, /*masked=*/true);  // per-element (all-ones mask)
+  pb.vfmul_vv(16, 8, 12);
+  pb.vfmul_vv(20, 8, 12, /*masked=*/true);
   pb.vfadd_vf(24, 16, 0.333333);
   pb.vfadd_vf(28, 20, 0.333333, /*masked=*/true);
   pb.vfmacc_vv(16, 8, 12);
   pb.vfmacc_vv(20, 8, 12, /*masked=*/true);
   const Program prog = pb.take();
   Rng rng(49);
-  for (std::uint64_t i = 0; i < vl; ++i) {
-    // Random element bit patterns: covers subnormals, NaNs, infinities.
-    const std::uint64_t mask = ew >= 8 ? ~0ull : ((1ull << (8 * ew)) - 1);
-    const std::uint64_t bits =
-        (rng.next_below(1u << 16) | (std::uint64_t{rng.next_below(1u << 16)} << 16) |
-         (std::uint64_t{rng.next_below(1u << 16)} << 32) |
-         (std::uint64_t{rng.next_below(1u << 16)} << 48)) & mask;
-    m.vrf().write_elem(8, i, ew, bits);
-    m.vrf().write_elem(12, i, ew, bits ^ (mask >> 1));
-    m.vrf().write_elem(16, i, ew, 0);
-    m.vrf().write_elem(20, i, ew, 0);
-    m.vrf().set_mask_bit(0, i, true);
+  for (Machine* mm : {&m, &r}) {
+    Rng same = rng;
+    for (std::uint64_t i = 0; i < vl; ++i) {
+      // Random element bit patterns: covers subnormals, NaNs, infinities.
+      const std::uint64_t mask = ew >= 8 ? ~0ull : ((1ull << (8 * ew)) - 1);
+      const std::uint64_t bits =
+          (same.next_below(1u << 16) | (std::uint64_t{same.next_below(1u << 16)} << 16) |
+           (std::uint64_t{same.next_below(1u << 16)} << 32) |
+           (std::uint64_t{same.next_below(1u << 16)} << 48)) & mask;
+      for (const unsigned v : {16u, 20u, 24u, 28u}) mm->vrf().write_elem(v, i, ew, bits);
+      mm->vrf().write_elem(8, i, ew, bits);
+      mm->vrf().write_elem(12, i, ew, bits ^ (mask >> 1));
+      mm->vrf().set_mask_bit(0, i, same.next_below(2) == 1);
+    }
   }
   m.run(prog);
-  for (std::uint64_t i = 0; i < vl; ++i) {
-    EXPECT_EQ(m.vrf().read_elem(16, i, ew), m.vrf().read_elem(20, i, ew))
-        << "vfmacc i=" << i;
-    EXPECT_EQ(m.vrf().read_elem(24, i, ew), m.vrf().read_elem(28, i, ew))
-        << "vfadd i=" << i;
+  for (const ProgOp& op : prog.ops) {
+    if (const auto* in = std::get_if<VInstr>(&op)) reference.exec_reference(*in);
+  }
+  for (const unsigned v : {16u, 20u, 24u, 28u}) {
+    for (std::uint64_t i = 0; i < vl; ++i) {
+      EXPECT_EQ(m.vrf().read_elem(v, i, ew), r.vrf().read_elem(v, i, ew))
+          << "v" << v << " i=" << i;
+    }
   }
 }
 
@@ -391,6 +405,74 @@ TEST(Binary16, OverflowRoundingAndNan) {
   EXPECT_EQ(m.vrf().read_elem(12, 1, 2), 0xFC00u);  // -inf
   EXPECT_EQ(m.vrf().read_elem(12, 2, 2), 0x3C00u);  // tie to even
   EXPECT_EQ(m.vrf().read_elem(12, 3, 2), 0x7E00u);  // quiet NaN
+}
+
+// ---- conversions at every FP width -----------------------------------------
+
+/// Runs vfcvt.f.x.v (to_fp) or vfcvt.x.f.v at `sew` over the given source
+/// element bits and returns the result element bits.
+std::vector<std::uint64_t> convert(Sew sew, bool to_fp,
+                                   const std::vector<std::uint64_t>& src) {
+  const unsigned ew = sew_bytes(sew);
+  Machine m = small_machine();
+  ProgramBuilder pb(m.config().effective_vlen(), "cvt");
+  pb.vsetvli(src.size(), sew, kLmul1);
+  if (to_fp) {
+    pb.vfcvt_f_x(12, 8);
+  } else {
+    pb.vfcvt_x_f(12, 8);
+  }
+  const Program prog = pb.take();
+  for (std::uint64_t i = 0; i < src.size(); ++i) m.vrf().write_elem(8, i, ew, src[i]);
+  m.run(prog);
+  std::vector<std::uint64_t> out;
+  for (std::uint64_t i = 0; i < src.size(); ++i) out.push_back(m.vrf().read_elem(12, i, ew));
+  return out;
+}
+
+using Words = std::vector<std::uint64_t>;
+
+std::uint64_t f32_bits(float f) { return std::bit_cast<std::uint32_t>(f); }
+std::uint64_t f64_bits(double d) { return std::bit_cast<std::uint64_t>(d); }
+
+TEST(Convert, SignedIntToFpAtEverySew) {
+  // vfcvt.f.x.v reads its source as a signed SEW-bit integer: -1 is -1.0
+  // at every width, not 2^SEW - 1.
+  // binary16: -1, -2, -128, INT16_MIN, INT16_MAX (rounds to 2^15), 5.
+  EXPECT_EQ(convert(Sew::k16, true, {0xFFFF, 0xFFFE, 0xFF80, 0x8000, 0x7FFF, 5}),
+            (Words{0xBC00, 0xC000, 0xD800, 0xF800, 0x7800, 0x4500}));
+  EXPECT_EQ(convert(Sew::k32, true, {0xFFFFFFFF, 0xFFFFFF85, 0x80000000, 0x7FFFFFFF, 7}),
+            (Words{f32_bits(-1.0F), f32_bits(-123.0F), f32_bits(-2147483648.0F),
+                   f32_bits(2147483648.0F), f32_bits(7.0F)}));
+  EXPECT_EQ(convert(Sew::k64, true,
+                    {~0ull, static_cast<std::uint64_t>(-123), 1ull << 63,
+                     ~(1ull << 63), 7}),
+            (Words{f64_bits(-1.0), f64_bits(-123.0), f64_bits(-9223372036854775808.0),
+                   f64_bits(9223372036854775808.0), f64_bits(7.0)}));
+}
+
+TEST(Convert, FpToIntSaturatesAtEverySew) {
+  // vfcvt.x.f.v rounds to nearest even and saturates to the signed SEW-bit
+  // range; NaN converts to the maximum.
+  // binary16: qNaN, +inf, -inf, 65504, -65504, -2.5, 3.5, -0.
+  EXPECT_EQ(convert(Sew::k16, false,
+                    {0x7E00, 0x7C00, 0xFC00, 0x7BFF, 0xFBFF, 0xC100, 0x4300, 0x8000}),
+            (Words{0x7FFF, 0x7FFF, 0x8000, 0x7FFF, 0x8000, 0xFFFE, 0x0004, 0}));
+  constexpr float kInfF = std::numeric_limits<float>::infinity();
+  EXPECT_EQ(convert(Sew::k32, false,
+                    {0x7FC00000, 0x7F800001, f32_bits(kInfF), f32_bits(-kInfF),
+                     f32_bits(3e9F), f32_bits(-3e9F), f32_bits(2147483520.0F),
+                     f32_bits(-2147483648.0F), f32_bits(-2.5F)}),
+            (Words{0x7FFFFFFF, 0x7FFFFFFF, 0x7FFFFFFF, 0x80000000, 0x7FFFFFFF,
+                   0x80000000, 0x7FFFFF80, 0x80000000, 0xFFFFFFFE}));
+  constexpr std::uint64_t kMax = ~(1ull << 63);
+  constexpr std::uint64_t kMin = 1ull << 63;
+  EXPECT_EQ(convert(Sew::k64, false,
+                    {f64_bits(kNan), f64_bits(kInf), f64_bits(-kInf), f64_bits(1e19),
+                     f64_bits(-1e19), f64_bits(9223372036854774784.0),
+                     f64_bits(-9223372036854775808.0), f64_bits(-2.5)}),
+            (Words{kMax, kMax, kMin, kMax, kMin, 0x7FFFFFFFFFFFFC00, kMin,
+                   static_cast<std::uint64_t>(-2)}));
 }
 
 TEST(ExpClamps, OverflowToInfUnderflowToZero) {

@@ -1,6 +1,7 @@
 // Deterministic mutation fuzzing of every reader of untrusted bytes: the
 // JSON parser, store records and store files, ledger and lease lines and
-// files, report merging and the JSON-report analysis reader. Golden lines
+// files, report merging, the JSON-report analysis reader, and the config
+// and fault-injection spec parsers. Golden lines
 // are damaged by bit flips, byte inserts and deletes, truncation, `\u`
 // escape edits and number edits, driven by splitmix64. Every case must
 // either return or throw ContractViolation; any other exception (or a
@@ -18,8 +19,10 @@
 
 #include "analysis/analysis.hpp"
 #include "common/contracts.hpp"
+#include "common/faults.hpp"
 #include "driver/report.hpp"
 #include "driver/runner.hpp"
+#include "driver/spec.hpp"
 #include "serve/lease.hpp"
 #include "serve/ledger.hpp"
 #include "store/fingerprint.hpp"
@@ -321,6 +324,30 @@ TEST(Fuzz, ReportMergeAndAnalysisReadersAreTotal) {
   fuzz_lines("dataset_from_json_report", json, 33, [](const std::string& m) {
     (void)analysis::dataset_from_json_report(m, analysis::RowFilter{});
   });
+}
+
+TEST(Fuzz, ConfigAndFaultSpecParsersAreTotal) {
+  // Parse only: a mutated config spec may name a huge machine, so no
+  // machine is built from one.
+  const char* const kConfigs[] = {"araxl:64", "ara2:16", "araxl:8x8", "araxl:4x8x4",
+                                  "araxl:128:groups=8",
+                                  "araxl:64:glsu=4:l2=24:vlen=32768:mode=cycle"};
+  std::uint64_t seed = 41;
+  for (const char* spec : kConfigs) {
+    ASSERT_NO_THROW((void)driver::parse_config_spec(spec)) << spec;
+    fuzz_lines("parse_config_spec", spec, seed++, [](const std::string& m) {
+      (void)driver::parse_config_spec(m);
+    });
+  }
+  const char* const kFaults[] = {
+      "seed=7,store.write=0.2,job=0.3@2", "seed=1,job.fail=1,job.hang=0.4",
+      "store.open=0.5,store.rename=1,ledger.open=0.1,ledger.write=0.25",
+      "seed=18446744073709551615,lease.claim=0,lease.renew=0.75,job=1"};
+  for (const char* spec : kFaults) {
+    ASSERT_NO_THROW(FaultInjector{spec}) << spec;
+    fuzz_lines("FaultInjector", spec, seed++,
+               [](const std::string& m) { FaultInjector{m}; });
+  }
 }
 
 }  // namespace

@@ -4,13 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <cstddef>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -200,10 +197,14 @@ StoredResult sample_record(const char* kernel, std::uint64_t bpl,
 /// member order), so a dropped, swapped or zeroed field shows in the golden
 /// bytes below.
 RunStats every_word_stats() {
-  std::array<std::uint64_t, sizeof(RunStats) / sizeof(std::uint64_t)> words{};
-  std::iota(words.begin(), words.end(), 1001);
   RunStats s;
-  std::memcpy(&s, words.data(), sizeof(s));
+  std::vector<std::uint64_t*> words;
+  for (const StatField& f : kRunStatsFields) {
+    for (std::uint64_t& w : f.words(s)) words.push_back(&w);
+  }
+  std::ranges::sort(words);  // address order is member order
+  std::uint64_t next = 1001;
+  for (std::uint64_t* w : words) *w = next++;
   return s;
 }
 
