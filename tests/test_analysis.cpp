@@ -7,6 +7,9 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
+#include <utility>
 
 #include "analysis/analysis.hpp"
 #include "analysis/svg.hpp"
@@ -272,6 +275,60 @@ TEST(Analysis, JsonReportReaderNamesEachMissingKey) {
       EXPECT_NE(std::string(e.what()).find("missing '" + path + "'"),
                 std::string::npos)
           << e.what();
+    }
+  }
+}
+
+/// 2 families x 2 kernels x 2 B/lane with irregular counters, so every
+/// derived double needs all 17 significant digits somewhere.
+std::vector<StoredResult> golden_entries() {
+  std::vector<StoredResult> es;
+  const std::pair<MachineConfig, const char*> configs[] = {
+      {MachineConfig::araxl(16), "araxl:16"}, {MachineConfig::ara2(8), "ara2:8"}};
+  std::uint64_t k = 0;
+  for (const auto& [cfg, label] : configs) {
+    for (const char* kernel : {"fmatmul", "softmax"}) {
+      for (const std::uint64_t bpl : {64u, 256u}) {
+        ++k;
+        StoredResult r = entry(cfg, label, kernel, bpl, 1000 + 137 * k * k);
+        const std::uint64_t universe =
+            r.stats.cycles * r.stats.total_lanes * 8;
+        r.seed = 7 * k;
+        r.stats.flops = r.stats.flops * 5 / 7 + k;
+        r.stats.fpu_result_elems = r.stats.fpu_result_elems * 2 / 3 + k;
+        r.stats.fpu_busy_slots = universe / 3;
+        for (std::size_t i = 0; i < kNumStallReasons; ++i) {
+          r.stats.stall_cycles[i] = (universe - universe / 3) / (i + 3) + k;
+        }
+        r.stats.batched_iterations = 11 * k;
+        r.stats.batch_clamps = k % 3;
+        r.stats.warmup_projected = k / 2;
+        es.push_back(r);
+      }
+    }
+  }
+  return es;
+}
+
+TEST(Analysis, ReportBundleMatchesGoldenBytes) {
+  // Pins every byte of all 12 artifacts (tests/golden/report_bundle/). The
+  // other tests compare two renders of one build; this one catches a
+  // reformatted number, column or SVG attribute. On a mismatch the actual
+  // bytes are written next to the test's temp files for diffing.
+  const std::vector<Artifact> arts =
+      build_report(dataset_from_store(golden_entries(), "v-test", RowFilter{}));
+  ASSERT_EQ(arts.size(), 12u);
+  const std::string dir =
+      std::string(ARAXL_SOURCE_DIR) + "/tests/golden/report_bundle/";
+  for (const Artifact& a : arts) {
+    std::ifstream f(dir + a.name, std::ios::binary);
+    const std::string golden((std::istreambuf_iterator<char>(f)),
+                             std::istreambuf_iterator<char>());
+    if (a.content != golden) {
+      const std::string out = testing::TempDir() + "report_bundle_" + a.name;
+      std::ofstream(out, std::ios::binary) << a.content;
+      ADD_FAILURE() << a.name << " differs from its golden bytes; actual in "
+                    << out;
     }
   }
 }

@@ -4,10 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -724,6 +726,52 @@ TEST(Json, StatsReaderTakesTheFirstMemberOfANameInAnyOrder) {
       parse_json(R"({"cycles":7,)" + fields + "}"), StatsForm::kStore);
   EXPECT_EQ(early.cycles, 7u);
   EXPECT_EQ(early.total_lanes, s.total_lanes);
+}
+
+// Every report, store line and artifact spells its numbers through these;
+// the formats were defined as printf's %llu and %.17g (C locale).
+TEST(JsonNumbers, SpellingsMatchPrintf) {
+  const auto printf_u64 = [](std::uint64_t v) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(v));
+    return std::string(buf);
+  };
+  const auto printf_double = [](double v) {
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+    return std::string(buf);
+  };
+  const auto expect_both = [&](std::uint64_t bits) {
+    EXPECT_EQ(json_u64(bits), printf_u64(bits)) << bits;
+    const double d = std::bit_cast<double>(bits);
+    EXPECT_EQ(json_double(d), printf_double(d)) << std::hex << bits;
+  };
+  const double p53 = 9007199254740992.0;
+  for (const double d :
+       {0.0, -0.0, 1.0, -1.0, 0.1, 1e-300, 5e-324, -5e-324, 2.2250738585072009e-308,
+        2.2250738585072014e-308, 1.7976931348623157e308, p53 - 1, p53, p53 + 2,
+        1e16, 1e17, 123456789012345680.0, 3.0000000000000004e-13,
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN(),
+        -std::numeric_limits<double>::quiet_NaN()}) {
+    expect_both(std::bit_cast<std::uint64_t>(d));
+  }
+  for (const std::uint64_t v :
+       {std::uint64_t{0}, std::uint64_t{9}, std::uint64_t{10},
+        (std::uint64_t{1} << 53) - 1, (std::uint64_t{1} << 53) + 1,
+        UINT64_MAX - 1, UINT64_MAX}) {
+    expect_both(v);
+  }
+  // 10^5 splitmix64 bit patterns: every exponent, NaN payloads included.
+  std::uint64_t state = 0x5eed;
+  for (int i = 0; i < 100000; ++i) {
+    std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    expect_both(z ^ (z >> 31));
+    if (HasFailure()) return;
+  }
 }
 
 TEST(ResultStoreTest, OneFlippedByteCostsExactlyOneLine) {
