@@ -2,15 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <unordered_map>
 
 #include "common/contracts.hpp"
 #include "common/fmt.hpp"
 #include "common/table.hpp"
 #include "analysis/svg.hpp"
 #include "machine/config.hpp"
-#include "ppa/area_model.hpp"
-#include "ppa/freq_model.hpp"
-#include "ppa/power_model.hpp"
+#include "ppa/projection.hpp"
 #include "ppa/soa.hpp"
 #include "store/json.hpp"
 
@@ -20,8 +20,7 @@ namespace {
 
 // Number spellings shared with the driver reporters: CSV artifacts must be
 // byte-stable and re-parse exactly.
-std::string fnum(double v) { return store::json_double(v); }
-std::string unum(std::uint64_t v) { return store::json_u64(v); }
+using store::CsvWriter;
 
 /// Reconstructs a MachineConfig from its store::canonical_config()
 /// serialization ("cfg-vN;kind=araxl;clusters=16;..."). The canonical
@@ -29,10 +28,12 @@ std::string unum(std::uint64_t v) { return store::json_u64(v); }
 /// exactly what the PPA models need; unknown keys (from a newer schema)
 /// are ignored — the caller already filtered records to one build version.
 MachineConfig config_from_canonical(std::string_view text) {
+  // Messages are built only on failure: this runs for every record.
   MachineConfig cfg;
   std::size_t pos = text.find(';');
-  check(pos != std::string_view::npos && text.substr(0, 4) == "cfg-",
-        "not a canonical config string: " + std::string(text));
+  if (pos == std::string_view::npos || text.substr(0, 4) != "cfg-") {
+    fail("not a canonical config string: " + std::string(text));
+  }
   while (pos != std::string_view::npos) {
     std::string_view rest = text.substr(pos + 1);
     const std::size_t end = rest.find(';');
@@ -40,8 +41,9 @@ MachineConfig config_from_canonical(std::string_view text) {
     pos = end == std::string_view::npos ? std::string_view::npos
                                         : pos + 1 + end;
     const std::size_t eq = item.find('=');
-    check(eq != std::string_view::npos,
-          "malformed canonical config item: " + std::string(item));
+    if (eq == std::string_view::npos) {
+      fail("malformed canonical config item: " + std::string(item));
+    }
     const std::string_view key = item.substr(0, eq);
     const std::string_view val = item.substr(eq + 1);
     if (key == "kind") {
@@ -50,8 +52,9 @@ MachineConfig config_from_canonical(std::string_view text) {
     }
     std::uint64_t n = 0;
     for (const char c : val) {
-      check(c >= '0' && c <= '9',
-            "malformed canonical config value: " + std::string(item));
+      if (c < '0' || c > '9') {
+        fail("malformed canonical config value: " + std::string(item));
+      }
       n = n * 10 + static_cast<std::uint64_t>(c - '0');
     }
     const auto u = static_cast<unsigned>(n);
@@ -80,17 +83,13 @@ MachineConfig config_from_canonical(std::string_view text) {
   return cfg;
 }
 
-void fill_ppa(Row& row, const MachineConfig& cfg) {
-  const FreqModel freq_model;
-  const AreaModel area_model;
-  const PowerModel power_model;
-  row.freq_ghz = freq_model.freq_ghz(cfg);
-  row.area_mm2 = area_model.total_mm2(cfg);
-  const double util = row.stats.fpu_util();
-  row.power_w = power_model.power_w(cfg, row.freq_ghz, util);
-  row.gflops = row.stats.gflops(row.freq_ghz);
-  row.gflops_per_w = power_model.gflops_per_w(
-      cfg, row.freq_ghz, row.stats.flop_per_cycle(), util);
+void fill_ppa(Row& row, const PpaProjector& project) {
+  const Ppa p = project(row.stats);
+  row.freq_ghz = p.freq_ghz;
+  row.area_mm2 = p.area_mm2;
+  row.power_w = p.power_w;
+  row.gflops = p.gflops;
+  row.gflops_per_w = p.gflops_per_w;
   row.gflops_per_mm2 = row.area_mm2 > 0.0 ? row.gflops / row.area_mm2 : 0.0;
 }
 
@@ -114,7 +113,14 @@ bool filter_accepts(const RowFilter& filter, const Row& row) {
 }
 
 void sort_rows(std::vector<Row>& rows) {
-  std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
+  // Sorting indices moves 8-byte words instead of whole Rows. std::sort
+  // acts only on comparison outcomes, so the permutation (ties included)
+  // is the one sorting the Rows themselves would produce.
+  std::vector<std::size_t> order(rows.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&rows](std::size_t i, std::size_t j) {
+    const Row& a = rows[i];
+    const Row& b = rows[j];
     if (a.stats.total_lanes != b.stats.total_lanes) {
       return a.stats.total_lanes < b.stats.total_lanes;
     }
@@ -125,6 +131,10 @@ void sort_rows(std::vector<Row>& rows) {
     }
     return a.seed < b.seed;
   });
+  std::vector<Row> sorted;
+  sorted.reserve(rows.size());
+  for (const std::size_t i : order) sorted.push_back(std::move(rows[i]));
+  rows = std::move(sorted);
 }
 
 /// Byte-slot universe of one run — the denominator of every stall/busy
@@ -343,21 +353,22 @@ std::string render_rows_csv(const Dataset& ds) {
     out += stall_reason_name(static_cast<StallReason>(i));
   }
   out += ",batched_iterations,batch_clamps,warmup_projected\n";
+  CsvWriter w(out);
   for (const Row& r : ds.rows) {
-    out += r.label + "," + r.kernel + "," + unum(r.bytes_per_lane) + "," +
-           unum(r.seed) + "," + unum(r.stats.total_lanes) + "," +
-           unum(r.vlen_bits) + "," + unum(r.stats.cycles) + "," +
-           unum(r.stats.flops) + "," + fnum(r.stats.fpu_util()) + "," +
-           fnum(r.stats.flop_per_cycle()) + "," + fnum(r.freq_ghz) + "," +
-           fnum(r.area_mm2) + "," + fnum(r.power_w) + "," + fnum(r.gflops) +
-           "," + fnum(r.gflops_per_w) + "," + fnum(r.gflops_per_mm2) + "," +
-           unum(r.stats.fpu_busy_slots);
-    for (std::size_t i = 0; i < kNumStallReasons; ++i) {
-      out += "," + unum(r.stats.stall_cycles[i]);
+    w.text(r.label).text(r.kernel);
+    for (const std::uint64_t v : {r.bytes_per_lane, r.seed, r.stats.total_lanes,
+                                  r.vlen_bits, r.stats.cycles, r.stats.flops}) {
+      w.u64(v);
     }
-    out += "," + unum(r.stats.batched_iterations) + "," +
-           unum(r.stats.batch_clamps) + "," + unum(r.stats.warmup_projected);
-    out += "\n";
+    for (const double v : {r.stats.fpu_util(), r.stats.flop_per_cycle(),
+                           r.freq_ghz, r.area_mm2, r.power_w, r.gflops,
+                           r.gflops_per_w, r.gflops_per_mm2}) {
+      w.num(v);
+    }
+    w.u64(r.stats.fpu_busy_slots);
+    for (const std::uint64_t v : r.stats.stall_cycles) w.u64(v);
+    w.u64(r.stats.batched_iterations).u64(r.stats.batch_clamps);
+    w.u64(r.stats.warmup_projected).end_row();
   }
   return out;
 }
@@ -372,9 +383,10 @@ void pareto_artifacts(const Dataset& ds, std::vector<Artifact>& arts,
   const std::vector<bool> on = pareto_mask(pts, cost);
 
   std::string csv = "config,kernel," + cost_name + ",gflops,frontier\n";
+  CsvWriter w(csv);
   for (std::size_t i = 0; i < pts.size(); ++i) {
-    csv += pts[i]->label + "," + pts[i]->kernel + "," + fnum(cost(*pts[i])) +
-           "," + fnum(pts[i]->gflops) + "," + (on[i] ? "1" : "0") + "\n";
+    w.text(pts[i]->label).text(pts[i]->kernel).num(cost(*pts[i]));
+    w.num(pts[i]->gflops).text(on[i] ? "1" : "0").end_row();
   }
   arts.push_back({stem + ".csv", std::move(csv)});
 
@@ -409,10 +421,10 @@ void scaling_artifacts(const Dataset& ds, std::vector<Artifact>& arts) {
   const std::vector<ConfigPoint> pts = config_points(ds);
   std::string csv = "config,family,total_lanes,freq_ghz,peak_gflops,"
                     "peak_kernel\n";
+  CsvWriter w(csv);
   for (const ConfigPoint& p : pts) {
-    csv += p.label + "," + p.family + "," + unum(p.lanes) + "," +
-           fnum(p.freq_ghz) + "," + fnum(p.peak_gflops) + "," + p.peak_kernel +
-           "\n";
+    w.text(p.label).text(p.family).u64(p.lanes).num(p.freq_ghz);
+    w.num(p.peak_gflops).text(p.peak_kernel).end_row();
   }
   arts.push_back({"scaling.csv", std::move(csv)});
 
@@ -464,15 +476,14 @@ void stalls_artifacts(const Dataset& ds, std::vector<Artifact>& arts) {
     csv += "_frac";
   }
   csv += "\n";
+  CsvWriter w(csv);
   for (const StallGroup& g : groups) {
     const double u = g.universe > 0 ? static_cast<double>(g.universe) : 1.0;
-    csv += g.label + "," + g.kernel + "," +
-           fnum(static_cast<double>(g.busy) / u);
-    for (std::size_t i = 0; i < kNumStallReasons; ++i) {
-      csv += ',';
-      csv += fnum(static_cast<double>(g.stalls[i]) / u);
+    w.text(g.label).text(g.kernel).num(static_cast<double>(g.busy) / u);
+    for (const std::uint64_t stall : g.stalls) {
+      w.num(static_cast<double>(stall) / u);
     }
-    csv += "\n";
+    w.end_row();
   }
   arts.push_back({"stalls.csv", std::move(csv)});
 
@@ -516,13 +527,14 @@ void soa_artifacts(const Dataset& ds, std::vector<Artifact>& arts) {
   const std::vector<ConfigPoint> ours = config_points(ds);
 
   std::string csv = "name,vlen_bits,fpus,riscv,source\n";
+  CsvWriter w(csv);
   for (const SoaProcessor& p : soa) {
-    csv += p.name + "," + unum(p.vlen_bits) + "," + unum(p.fpus) + "," +
-           (p.riscv ? "1" : "0") + ",soa\n";
+    w.text(p.name).u64(p.vlen_bits).u64(p.fpus).text(p.riscv ? "1" : "0");
+    w.text("soa").end_row();
   }
   for (const ConfigPoint& p : ours) {
-    csv += p.label + "," + unum(p.vlen_bits) + "," + unum(p.lanes) +
-           ",1,this-run\n";
+    w.text(p.label).u64(p.vlen_bits).u64(p.lanes).text("1").text("this-run");
+    w.end_row();
   }
   arts.push_back({"soa_landscape.csv", std::move(csv)});
 
@@ -581,6 +593,9 @@ Dataset dataset_from_store(const std::vector<store::StoredResult>& entries,
                            const std::string& version,
                            const RowFilter& filter) {
   Dataset ds;
+  // A sweep has a handful of distinct configs over thousands of records:
+  // parse each canonical string and evaluate its config-only models once.
+  std::unordered_map<std::string_view, PpaProjector> configs;
   for (const store::StoredResult& e : entries) {
     if (!version.empty() && e.version != version) continue;
     Row row;
@@ -589,11 +604,16 @@ Dataset dataset_from_store(const std::vector<store::StoredResult>& entries,
     row.bytes_per_lane = e.bytes_per_lane;
     row.seed = e.seed;
     row.stats = e.stats;
-    const MachineConfig cfg = config_from_canonical(e.config);
+    auto it = configs.find(e.config);
+    if (it == configs.end()) {
+      it = configs.emplace(e.config, config_from_canonical(e.config)).first;
+    }
+    const PpaProjector& project = it->second;
+    const MachineConfig& cfg = project.config();
     row.family = cfg.kind == MachineKind::kAra2 ? "ara2" : "araxl";
     row.vlen_bits = cfg.effective_vlen();
     if (!filter_accepts(filter, row)) continue;
-    fill_ppa(row, cfg);
+    fill_ppa(row, project);
     ds.rows.push_back(std::move(row));
   }
   sort_rows(ds.rows);

@@ -19,7 +19,7 @@ std::string fmt_group(std::uint64_t v);
 /// Formats `v` with an engineering suffix (K/M/G) and `prec` decimals.
 std::string fmt_eng(double v, int prec = 2);
 
-/// sprintf-like convenience (bounded, for short strings).
+/// sprintf-like convenience; the result has the full formatted length.
 std::string strprintf(const char* format, ...) __attribute__((format(printf, 1, 2)));
 
 }  // namespace araxl

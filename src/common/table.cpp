@@ -41,7 +41,7 @@ std::string TextTable::render() const {
   };
   const auto emit_row = [&](std::string& out, const std::vector<std::string>& row) {
     for (std::size_t c = 0; c < width.size(); ++c) {
-      const std::string& cell = c < row.size() ? row[c] : std::string{};
+      const std::string& cell = row[c];
       const std::size_t pad = width[c] - cell.size();
       out += "| ";
       if (right_[c]) out.append(pad, ' ');
@@ -52,7 +52,11 @@ std::string TextTable::render() const {
     out += "|\n";
   };
 
+  // Every line, rule or row, is equally wide: reserve the whole table.
+  std::size_t line = 2;  // the closing "|\n" or "+\n"
+  for (const std::size_t w : width) line += w + 3;
   std::string out;
+  out.reserve(line * (rows_.size() + 4));
   emit_rule(out);
   emit_row(out, header_);
   emit_rule(out);

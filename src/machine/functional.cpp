@@ -876,6 +876,11 @@ bool FunctionalEngine::exec_memory_bulk_masked_unit(const VInstr& in) {
   std::uint8_t* buf = buf_mem_.data();
   std::uint8_t* ram = mem_.raw(in.addr, total);
 
+  // v0 is read once, as a stream, before vd is touched.
+  scratch_.v0.resize(vl_);
+  const std::uint8_t* v0 = scratch_.v0.data();
+  vrf_.read_mask_stream(0, vl_, scratch_.v0.data());
+
   // Fixed-width copies so the compiler lowers each to a plain load/store.
   const auto stream = [&]<unsigned kW>() {
     // Both directions route through the current vd stream: a masked load
@@ -884,12 +889,12 @@ bool FunctionalEngine::exec_memory_bulk_masked_unit(const VInstr& in) {
     vrf_.read_stream(in.vd, vl_, kW, buf);
     if (is_load) {
       for (std::uint64_t i = 0; i < vl_; ++i) {
-        if (vrf_.mask_bit(0, i)) std::memcpy(buf + i * kW, ram + i * kW, kW);
+        if (v0[i] != 0) std::memcpy(buf + i * kW, ram + i * kW, kW);
       }
       vrf_.write_stream(in.vd, vl_, kW, buf);
     } else {
       for (std::uint64_t i = 0; i < vl_; ++i) {
-        if (vrf_.mask_bit(0, i)) std::memcpy(ram + i * kW, buf + i * kW, kW);
+        if (v0[i] != 0) std::memcpy(ram + i * kW, buf + i * kW, kW);
       }
     }
   };

@@ -46,30 +46,39 @@ std::string MetricsRegistry::to_json() const {
   };
   std::vector<Entry> entries;
   entries.reserve(counters_.size() + gauges_.size() + histograms_.size());
+  const auto scalar = [](std::uint64_t v) {
+    std::string body;
+    store::append_u64(body, v);
+    return body;
+  };
   for (const auto& [name, c] : counters_) {
-    entries.push_back({name, store::json_u64(c->value())});
+    entries.push_back({name, scalar(c->value())});
   }
   for (const auto& [name, g] : gauges_) {
-    entries.push_back({name, store::json_u64(g->value())});
+    entries.push_back({name, scalar(g->value())});
   }
   for (const auto& [name, h] : histograms_) {
-    std::string body = "{\"count\":" + store::json_u64(h->count()) +
-                       ",\"sum\":" + store::json_u64(h->sum()) +
-                       ",\"max\":" + store::json_u64(h->max()) +
-                       ",\"buckets\":{";
-    bool first = true;
+    std::string body;
+    store::JsonWriter w(body);
+    w.open();
+    w.key("count").u64(h->count());
+    w.key("sum").u64(h->sum());
+    w.key("max").u64(h->max());
+    w.key("buckets").open();
     for (std::size_t b = 0; b < Histogram::kBuckets; ++b) {
       const std::uint64_t n = h->bucket(b);
       if (n == 0) continue;
-      if (!first) body += ",";
-      first = false;
       // Bucket b covers [2^(b-1), 2^b); label with its exclusive bound.
-      const std::uint64_t bound =
-          b >= 64 ? 0 : (std::uint64_t{1} << b);  // 0 renders as "inf"
-      body += "\"<" + (b >= 64 ? std::string("inf") : store::json_u64(bound)) +
-              "\":" + store::json_u64(n);
+      std::string label = "<";
+      if (b >= 64) {
+        label += "inf";
+      } else {
+        store::append_u64(label, std::uint64_t{1} << b);
+      }
+      w.key(label).u64(n);
     }
-    body += "}}";
+    w.close();
+    w.close();
     entries.push_back({name, std::move(body)});
   }
   std::sort(entries.begin(), entries.end(),
@@ -78,7 +87,7 @@ std::string MetricsRegistry::to_json() const {
   for (std::size_t i = 0; i < entries.size(); ++i) {
     if (i != 0) out += ",";
     out += '"';
-    out += store::json_escape(entries[i].name);
+    store::append_escaped(out, entries[i].name);
     out += "\":";
     out += entries[i].body;
   }

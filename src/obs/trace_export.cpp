@@ -9,16 +9,18 @@ namespace araxl::obs {
 
 namespace {
 
-using store::json_escape;
-using store::json_u64;
+using store::JsonWriter;
 
 void append_metadata(std::string& out, std::uint64_t pid, std::uint64_t tid,
                      std::string_view what, std::string_view name) {
-  out += "{\"name\":\"";
-  out += what;
-  out += "\",\"ph\":\"M\",\"pid\":" + json_u64(pid) +
-         ",\"tid\":" + json_u64(tid) + ",\"args\":{\"name\":\"" +
-         json_escape(std::string(name)) + "\"}}";
+  JsonWriter w(out);
+  w.open();
+  w.key("name").str(what);
+  w.key("ph").str("M");
+  w.key("pid").u64(pid);
+  w.key("tid").u64(tid);
+  w.key("args").open().key("name").str(name).close();
+  w.close();
 }
 
 std::string marker_name(const SimMarker& m) {
@@ -97,32 +99,46 @@ std::string export_chrome_trace(const std::vector<TraceExportJob>& jobs) {
     for (const TraceRecord& rec : job.trace->records()) {
       const Cycle dur =
           rec.completed > rec.dispatched ? rec.completed - rec.dispatched : 0;
-      ev = "{\"name\":\"" + json_escape(rec.text) +
-           "\",\"cat\":\"instr\",\"ph\":\"X\",\"ts\":" +
-           json_u64(rec.dispatched) + ",\"dur\":" + json_u64(dur) +
-           ",\"pid\":" + json_u64(j) +
-           ",\"tid\":" + json_u64(static_cast<std::uint64_t>(rec.unit)) +
-           ",\"args\":{\"id\":" + json_u64(rec.id) +
-           ",\"vl\":" + json_u64(rec.vl) +
-           ",\"issued\":" + json_u64(rec.issued) +
-           ",\"first_result\":" + json_u64(rec.first_result);
+      ev.clear();
+      JsonWriter w(ev);
+      w.open();
+      w.key("name").str(rec.text);
+      w.key("cat").str("instr");
+      w.key("ph").str("X");
+      w.key("ts").u64(rec.dispatched);
+      w.key("dur").u64(dur);
+      w.key("pid").u64(j);
+      w.key("tid").u64(static_cast<std::uint64_t>(rec.unit));
+      w.key("args").open();
+      w.key("id").u64(rec.id);
+      w.key("vl").u64(rec.vl);
+      w.key("issued").u64(rec.issued);
+      w.key("first_result").u64(rec.first_result);
       // Dominant stall annotation: only present when the attributor charged
       // byte-slots to this instruction, so non-FPU spans stay unchanged.
       if (rec.stall_reason < kNumStallReasons) {
-        ev += ",\"stall\":\"";
-        ev += stall_reason_name(static_cast<StallReason>(rec.stall_reason));
-        ev += "\",\"stall_slots\":" + json_u64(rec.stall_slots);
+        w.key("stall").str(
+            stall_reason_name(static_cast<StallReason>(rec.stall_reason)));
+        w.key("stall_slots").u64(rec.stall_slots);
       }
-      ev += "}}";
+      w.close();
+      w.close();
       emit(ev);
     }
 
     for (const SimMarker& m : job.trace->markers()) {
-      ev = "{\"name\":\"" + json_escape(marker_name(m)) +
-           "\",\"cat\":\"engine\",\"ph\":\"i\",\"s\":\"t\",\"ts\":" +
-           json_u64(m.cycle) + ",\"pid\":" + json_u64(j) +
-           ",\"tid\":0,\"args\":{\"" + std::string(marker_arg_key(m.kind)) +
-           "\":" + json_u64(m.arg) + "}}";
+      ev.clear();
+      JsonWriter w(ev);
+      w.open();
+      w.key("name").str(marker_name(m));
+      w.key("cat").str("engine");
+      w.key("ph").str("i");
+      w.key("s").str("t");
+      w.key("ts").u64(m.cycle);
+      w.key("pid").u64(j);
+      w.key("tid").u64(0);
+      w.key("args").open().key(marker_arg_key(m.kind)).u64(m.arg).close();
+      w.close();
       emit(ev);
     }
   }

@@ -19,10 +19,12 @@ namespace {
 
 using store::with_check;
 
-std::uint64_t field_u64(const store::JsonValue& obj, std::string_view key) {
+/// `obj[key]`; the message is built only on failure (runs per field).
+const store::JsonValue& field(const store::JsonValue& obj,
+                              std::string_view key) {
   const store::JsonValue* v = obj.get(key);
-  check(v != nullptr, "lease is missing field '" + std::string(key) + "'");
-  return v->as_u64();
+  if (v == nullptr) fail("lease is missing field '" + std::string(key) + "'");
+  return *v;
 }
 
 /// Writes `content` to `path` in one shot; false on any I/O error.
@@ -78,13 +80,15 @@ std::string lease_path(const std::string& dir, std::uint64_t job) {
 }
 
 std::string serialize_lease(const Lease& lease) {
-  std::string out = "{";
-  out += "\"job\":" + store::json_u64(lease.job) + ",";
-  out += "\"worker\":\"" + store::json_escape(lease.worker) + "\",";
-  out += "\"gen\":" + store::json_u64(lease.generation) + ",";
-  out += "\"claimed_ms\":" + store::json_u64(lease.claimed_ms) + ",";
-  out += "\"expires_ms\":" + store::json_u64(lease.expires_ms);
-  out += "}";
+  std::string out;
+  store::JsonWriter w(out);
+  w.open();
+  w.key("job").u64(lease.job);
+  w.key("worker").str(lease.worker);
+  w.key("gen").u64(lease.generation);
+  w.key("claimed_ms").u64(lease.claimed_ms);
+  w.key("expires_ms").u64(lease.expires_ms);
+  w.close();
   return with_check(std::move(out));
 }
 
@@ -96,13 +100,11 @@ Lease parse_lease(std::string_view line) {
   check(stored != nullptr, "lease has no checksum");
   check(stored->as_string() == *computed, "lease checksum mismatch");
   Lease lease;
-  lease.job = field_u64(doc, "job");
-  const store::JsonValue* worker = doc.get("worker");
-  check(worker != nullptr, "lease is missing field 'worker'");
-  lease.worker = worker->as_string();
-  lease.generation = field_u64(doc, "gen");
-  lease.claimed_ms = field_u64(doc, "claimed_ms");
-  lease.expires_ms = field_u64(doc, "expires_ms");
+  lease.job = field(doc, "job").as_u64();
+  lease.worker = field(doc, "worker").as_string();
+  lease.generation = field(doc, "gen").as_u64();
+  lease.claimed_ms = field(doc, "claimed_ms").as_u64();
+  lease.expires_ms = field(doc, "expires_ms").as_u64();
   return lease;
 }
 

@@ -15,8 +15,8 @@ namespace araxl::serve {
 
 namespace {
 
-using store::json_escape;
 using store::JsonValue;
+using store::JsonWriter;
 using store::parse_json;
 
 // Same checksummed-line discipline as the result store
@@ -32,23 +32,30 @@ void verify_check(std::string_view line, const JsonValue& doc) {
   check(stored->as_string() == *computed, "ledger line checksum mismatch");
 }
 
-std::uint64_t field_u64(const JsonValue& obj, std::string_view key) {
+// Contract messages are built only on failure: these run for every field
+// of every ledger line.
+const JsonValue& field(const JsonValue& obj, std::string_view key) {
   const JsonValue* v = obj.get(key);
-  check(v != nullptr, "ledger line is missing field '" + std::string(key) + "'");
-  return v->as_u64();
+  if (v == nullptr) {
+    fail("ledger line is missing field '" + std::string(key) + "'");
+  }
+  return *v;
+}
+
+std::uint64_t field_u64(const JsonValue& obj, std::string_view key) {
+  return field(obj, key).as_u64();
 }
 
 std::string field_string(const JsonValue& obj, std::string_view key) {
-  const JsonValue* v = obj.get(key);
-  check(v != nullptr, "ledger line is missing field '" + std::string(key) + "'");
-  return v->as_string();
+  return field(obj, key).as_string();
 }
 
 std::vector<std::string> field_strings(const JsonValue& obj,
                                        std::string_view key) {
   const JsonValue* v = obj.get(key);
-  check(v != nullptr && v->kind == JsonValue::Kind::kArray,
-        "ledger header is missing array field '" + std::string(key) + "'");
+  if (v == nullptr || v->kind != JsonValue::Kind::kArray) {
+    fail("ledger header is missing array field '" + std::string(key) + "'");
+  }
   std::vector<std::string> out;
   out.reserve(v->items.size());
   for (const JsonValue& item : v->items) out.push_back(item.as_string());
@@ -80,34 +87,24 @@ void append_line(const std::string& path, std::string line,
 }  // namespace
 
 std::string serialize_header(const LedgerSpec& spec) {
-  std::string out = "{\"type\":\"sweep\",";
-  out += "\"version\":\"" + json_escape(spec.version) + "\",";
-  out += "\"configs\":[";
-  for (std::size_t i = 0; i < spec.configs.size(); ++i) {
-    if (i != 0) out += ",";
-    out += '"';
-    out += json_escape(spec.configs[i]);
-    out += '"';
-  }
-  out += "],";
-  out += "\"kernels\":[";
-  for (std::size_t i = 0; i < spec.kernels.size(); ++i) {
-    if (i != 0) out += ",";
-    out += '"';
-    out += json_escape(spec.kernels[i]);
-    out += '"';
-  }
-  out += "],";
-  out += "\"bpl\":[";
-  for (std::size_t i = 0; i < spec.bytes_per_lane.size(); ++i) {
-    if (i != 0) out += ",";
-    out += store::json_u64(spec.bytes_per_lane[i]);
-  }
-  out += "],";
-  out += "\"base_seed\":" + store::json_u64(spec.base_seed) + ",";
-  out += std::string("\"verify\":") + (spec.verify ? "true" : "false") + ",";
-  out += "\"jobs\":" + store::json_u64(spec.jobs);
-  out += "}";
+  std::string out;
+  JsonWriter w(out);
+  w.open();
+  w.key("type").str("sweep");
+  w.key("version").str(spec.version);
+  w.key("configs").open_array();
+  for (const std::string& c : spec.configs) w.str(c);
+  w.close_array();
+  w.key("kernels").open_array();
+  for (const std::string& k : spec.kernels) w.str(k);
+  w.close_array();
+  w.key("bpl").open_array();
+  for (const std::uint64_t b : spec.bytes_per_lane) w.u64(b);
+  w.close_array();
+  w.key("base_seed").u64(spec.base_seed);
+  w.key("verify").boolean(spec.verify);
+  w.key("jobs").u64(spec.jobs);
+  w.close();
   return with_check(std::move(out));
 }
 
@@ -141,16 +138,19 @@ LedgerSpec parse_header(std::string_view line) {
 }
 
 std::string serialize_done(const DoneRecord& rec) {
-  std::string out = "{\"type\":\"done\",";
-  out += "\"job\":" + store::json_u64(rec.job) + ",";
-  out += "\"fp\":\"" + json_escape(rec.fingerprint) + "\",";
-  out += "\"worker\":\"" + json_escape(rec.worker) + "\",";
-  out += "\"status\":\"" + json_escape(rec.status) + "\",";
-  out += "\"attempts\":" + store::json_u64(rec.attempts) + ",";
-  out += "\"duration_ms\":" + store::json_u64(rec.duration_ms) + ",";
-  out += "\"json\":\"" + json_escape(rec.json_record) + "\",";
-  out += "\"csv\":\"" + json_escape(rec.csv_row) + "\"";
-  out += "}";
+  std::string out;
+  JsonWriter w(out);
+  w.open();
+  w.key("type").str("done");
+  w.key("job").u64(rec.job);
+  w.key("fp").str(rec.fingerprint);
+  w.key("worker").str(rec.worker);
+  w.key("status").str(rec.status);
+  w.key("attempts").u64(rec.attempts);
+  w.key("duration_ms").u64(rec.duration_ms);
+  w.key("json").str(rec.json_record);
+  w.key("csv").str(rec.csv_row);
+  w.close();
   return with_check(std::move(out));
 }
 

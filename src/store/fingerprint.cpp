@@ -1,6 +1,7 @@
 #include "store/fingerprint.hpp"
 
-#include "common/fmt.hpp"
+#include "common/contracts.hpp"
+#include "store/json.hpp"
 #include "store/version.hpp"
 
 namespace araxl::store {
@@ -9,14 +10,15 @@ std::string canonical_config(const MachineConfig& cfg) {
   // Fixed order, fixed spellings, `;`-separated `key=value`. Every field
   // of MachineConfig that can change simulation results must appear here;
   // adding one requires bumping kConfigSchemaVersion (store/version.hpp).
-  std::string out = "cfg-v" + std::to_string(kConfigSchemaVersion) + ";";
-  out += "kind=";
+  std::string out = "cfg-v";
+  append_u64(out, kConfigSchemaVersion);
+  out += ";kind=";
   out += cfg.kind == MachineKind::kAraXL ? "araxl" : "ara2";
-  const auto field = [&out](const char* key, std::uint64_t v) {
-    out += ";";
+  const auto field = [&out](std::string_view key, std::uint64_t v) {
+    out += ';';
     out += key;
-    out += "=";
-    out += std::to_string(v);
+    out += '=';
+    append_u64(out, v);
   };
   field("clusters", cfg.topo.clusters);
   field("lanes", cfg.topo.lanes);
@@ -56,8 +58,18 @@ std::uint64_t fnv1a(std::uint64_t h, std::string_view data) {
   return h;
 }
 
+/// Appends `h` as 16 lowercase hex digits (printf "%016llx").
+void append_hex16(std::string& out, std::uint64_t h) {
+  constexpr std::string_view kHex = "0123456789abcdef";
+  char buf[16];
+  for (int i = 15; i >= 0; --i, h >>= 4) buf[i] = kHex[h & 0xF];
+  out.append(buf, sizeof buf);
+}
+
 std::string hex16(std::uint64_t h) {
-  return strprintf("%016llx", static_cast<unsigned long long>(h));
+  std::string out;
+  append_hex16(out, h);
+  return out;
 }
 
 }  // namespace
@@ -67,8 +79,12 @@ std::uint64_t hash64(std::string_view data, std::uint64_t basis_tweak) {
 }
 
 std::string with_check(std::string line) {
-  const std::string check = hex16(hash64(line));
-  line.insert(line.size() - 1, std::string(kCheckMarker) + check + "\"");
+  debug_check(!line.empty() && line.back() == '}', "not a one-line object");
+  const std::uint64_t check = hash64(line);
+  line.pop_back();  // the closing '}'
+  line += kCheckMarker;
+  append_hex16(line, check);
+  line += "\"}";
   return line;
 }
 
@@ -85,18 +101,18 @@ std::string fingerprint(const JobKey& key) {
   flat += '\x1f';
   flat += key.kernel;
   flat += '\x1f';
-  flat += std::to_string(key.bytes_per_lane);
+  append_u64(flat, key.bytes_per_lane);
   flat += '\x1f';
-  flat += std::to_string(key.seed);
+  append_u64(flat, key.seed);
   flat += '\x1f';
   flat += key.version;
   // Two independently-seeded 64-bit FNV passes give a 128-bit key; at the
   // sweep scales this repo runs (thousands of jobs) collisions are
   // negligible, and the store additionally verifies provenance on load.
-  const std::uint64_t lo = hash64(flat, 0);
-  const std::uint64_t hi = hash64(flat, 0x9e3779b97f4a7c15ULL);
-  return strprintf("%016llx%016llx", static_cast<unsigned long long>(hi),
-                   static_cast<unsigned long long>(lo));
+  std::string out;
+  append_hex16(out, hash64(flat, 0x9e3779b97f4a7c15ULL));
+  append_hex16(out, hash64(flat, 0));
+  return out;
 }
 
 }  // namespace araxl::store

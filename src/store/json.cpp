@@ -7,7 +7,6 @@
 #include <source_location>
 
 #include "common/contracts.hpp"
-#include "common/fmt.hpp"
 
 namespace araxl::store {
 
@@ -282,40 +281,65 @@ bool JsonValue::as_bool() const {
 
 JsonValue parse_json(std::string_view text) { return Parser(text).document(); }
 
-std::string json_u64(std::uint64_t v) {
-  return strprintf("%llu", static_cast<unsigned long long>(v));
+void append_u64(std::string& out, std::uint64_t v) {
+  char buf[20];  // UINT64_MAX has 20 digits
+  const auto res = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, res.ptr);
 }
 
-std::string json_double(double v) { return strprintf("%.17g", v); }
+void append_double(std::string& out, double v) {
+  // Longest %.17g spelling: "-1.2345678901234567e-308" (24 bytes).
+  char buf[32];
+  const auto res =
+      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 17);
+  out.append(buf, res.ptr);
+}
 
-void append_stats_fields(std::string& out, const RunStats& s, StatsForm form,
+void append_escaped(std::string& out, std::string_view s) {
+  constexpr std::string_view kHex = "0123456789abcdef";
+  std::size_t run = 0;  // start of the pending run of plain bytes
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s.substr(run, i - run));
+    run = i + 1;
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        out += "\\u00";
+        out += kHex[c >> 4];
+        out += kHex[c & 0xF];
+    }
+  }
+  out.append(s.substr(run));
+}
+
+void append_stats_fields(JsonWriter& w, const RunStats& s, StatsForm form,
                          bool zero_opt_in) {
   const bool named = form == StatsForm::kReport;
-  bool first = true;
   for (const StatField& f : kRunStatsFields) {
     if (named && !f.in_report()) continue;
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    out += f.key;
-    out += "\":";
+    w.key(f.key);
     const bool zero = zero_opt_in && f.opt_in();
-    const auto w = f.words(s);
+    const auto words = f.words(s);
     if (!f.is_array()) {
-      out += json_u64(zero ? 0 : w[0]);
+      w.u64(zero ? 0 : words[0]);
       continue;
     }
-    out += named ? '{' : '[';
-    for (std::size_t i = 0; i < f.count; ++i) {
-      if (i != 0) out += ',';
-      if (named) {
-        out += '"';
-        out += f.elem_name(i);
-        out += "\":";
+    if (named) {
+      w.open();
+      for (std::size_t i = 0; i < f.count; ++i) {
+        w.key(f.elem_name(i)).u64(zero ? 0 : words[i]);
       }
-      out += json_u64(zero ? 0 : w[i]);
+      w.close();
+    } else {
+      w.open_array();
+      for (const std::uint64_t v : words) w.u64(zero ? 0 : v);
+      w.close_array();
     }
-    out += named ? '}' : ']';
   }
 }
 
@@ -361,26 +385,6 @@ RunStats read_stats_fields(const JsonValue& obj, StatsForm form) {
     }
   }
   return s;
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += strprintf("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace araxl::store

@@ -27,14 +27,16 @@ std::vector<std::string_view> lines_of(std::string_view text) {
   return lines;
 }
 
-/// Validates index coverage 0..n-1 and rejects duplicates.
+/// Validates index coverage 0..n-1 and rejects duplicates. Like every
+/// per-record check below, the message is built only on failure.
 template <typename Map>
 void check_contiguous(const Map& by_index) {
   std::uint64_t expect = 0;
   for (const auto& [index, text] : by_index) {
-    check(index == expect,
-          "merge inputs are missing job index " + std::to_string(expect) +
-              " — a shard report is absent or incomplete");
+    if (index != expect) {
+      fail("merge inputs are missing job index " + std::to_string(expect) +
+           " — a shard report is absent or incomplete");
+    }
     ++expect;
   }
 }
@@ -63,9 +65,10 @@ std::string merge_json_reports(const std::vector<std::string>& docs) {
       check(index != nullptr, "report record has no job index");
       const auto [it, inserted] =
           by_index.emplace(index->as_u64(), std::string(line));
-      check(inserted || it->second == line,
-            "conflicting records for job index " + index->text +
-                " (same sweep sharded twice with different results?)");
+      if (!inserted && it->second != line) {
+        fail("conflicting records for job index " + index->text +
+             " (same sweep sharded twice with different results?)");
+      }
     }
   }
   check_contiguous(by_index);
@@ -105,8 +108,9 @@ std::string merge_csv_reports(const std::vector<std::string>& docs) {
         index = index * 10 + static_cast<std::uint64_t>(c - '0');
       }
       const auto [it, inserted] = by_index.emplace(index, std::string(row));
-      check(inserted || it->second == row,
-            "conflicting CSV rows for job index " + std::to_string(index));
+      if (!inserted && it->second != row) {
+        fail("conflicting CSV rows for job index " + std::to_string(index));
+      }
     }
   }
   check_contiguous(by_index);

@@ -17,11 +17,6 @@ namespace araxl::store {
 
 namespace {
 
-// One shared definition with the reporters (store/json.hpp): the
-// byte-identity contract allows no drift between the two serializers.
-std::string fnum(double v) { return json_double(v); }
-std::string unum(std::uint64_t v) { return json_u64(v); }
-
 const JsonValue& field(const JsonValue& obj, std::string_view key) {
   const JsonValue* v = obj.get(key);
   if (v == nullptr) fail("store record is missing field '" + std::string(key) + "'");
@@ -70,25 +65,27 @@ bool provenance_matches(const StoredResult& r) {
 }  // namespace
 
 std::string ResultStore::serialize(const StoredResult& r) {
-  std::string out = "{";
-  out += "\"fp\":\"" + json_escape(r.fingerprint) + "\",";
-  out += "\"version\":\"" + json_escape(r.version) + "\",";
-  out += "\"config\":\"" + json_escape(r.config) + "\",";
-  out += "\"label\":\"" + json_escape(r.label) + "\",";
-  out += "\"kernel\":\"" + json_escape(r.kernel) + "\",";
-  out += "\"bpl\":" + unum(r.bytes_per_lane) + ",";
-  out += "\"seed\":" + unum(r.seed) + ",";
+  std::string out;
+  JsonWriter w(out);
+  w.open();
+  w.key("fp").str(r.fingerprint);
+  w.key("version").str(r.version);
+  w.key("config").str(r.config);
+  w.key("label").str(r.label);
+  w.key("kernel").str(r.kernel);
+  w.key("bpl").u64(r.bytes_per_lane);
+  w.key("seed").u64(r.seed);
   // Every RunStats word, provenance and stall taxonomy included: default
   // reports zero those, but `araxl stats` and `araxl report` read them back
   // from here without re-simulating.
-  out += "\"stats\":{";
-  append_stats_fields(out, r.stats, StatsForm::kStore);
-  out += "},";
-  out += std::string("\"verified\":") + (r.verified ? "true" : "false") + ",";
-  out += "\"tolerance\":" + fnum(r.tolerance) + ",";
-  out += "\"checked\":" + unum(r.verify.checked) + ",";
-  out += "\"max_rel_err\":" + fnum(r.verify.max_rel_err);
-  out += "}";
+  w.key("stats").open();
+  append_stats_fields(w, r.stats, StatsForm::kStore);
+  w.close();
+  w.key("verified").boolean(r.verified);
+  w.key("tolerance").num(r.tolerance);
+  w.key("checked").u64(r.verify.checked);
+  w.key("max_rel_err").num(r.verify.max_rel_err);
+  w.close();
   // Payload checksum over the exact line text: flipped bits anywhere in
   // the record (including the stats) invalidate it.
   return with_check(std::move(out));

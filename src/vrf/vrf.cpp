@@ -1,5 +1,6 @@
 #include "vrf/vrf.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -211,21 +212,55 @@ void Vrf::set_mask_bit(unsigned vreg, std::uint64_t i, bool value) {
   set_mask_bit_in(vreg, i, mask_layout_, value);
 }
 
+template <typename Visit>
+void Vrf::for_each_mask_bit(unsigned vreg, std::uint64_t n,
+                            Visit&& visit) const {
+  // Locates each lane's run of bits once (mask_bit_loc per run, not per
+  // bit) and walks it; the runs are the two cases of mask_bit_loc.
+  if (mask_layout_ == MaskLayout::kStandard) {
+    // Bits 64w..64w+63 fill the 8 bytes of logical word w, which the
+    // mapping places like one 8-byte element: contiguous in one lane.
+    for (std::uint64_t w = 0; w * 64 < n; ++w) {
+      const MaskBitLoc loc = mask_bit_loc(map_, mask_layout_, w * 64);
+      std::uint8_t* run =
+          &bytes_[chunk_index(loc.cluster, loc.lane, vreg, loc.byte_offset)];
+      const std::uint64_t bits = std::min<std::uint64_t>(64, n - w * 64);
+      for (std::uint64_t b = 0; b < bits; ++b) {
+        visit(w * 64 + b, run[b / 8], static_cast<unsigned>(b % 8));
+      }
+    }
+    return;
+  }
+  // kLaneLocal: element i's bit is bit row_of(i) of its own lane's slice,
+  // so lane l holds the bits of elements l, l + TL, l + 2 TL, ... in order.
+  const std::uint64_t total = map_.topology().total_lanes();
+  for (std::uint64_t l = 0; l < total && l < n; ++l) {
+    const MaskBitLoc loc = mask_bit_loc(map_, mask_layout_, l);
+    std::uint8_t* run = &bytes_[chunk_index(loc.cluster, loc.lane, vreg, 0)];
+    for (std::uint64_t row = 0, i = l; i < n; ++row, i += total) {
+      visit(i, run[row / 8], static_cast<unsigned>(row % 8));
+    }
+  }
+}
+
 void Vrf::read_mask_stream(unsigned vreg, std::uint64_t n,
                            std::uint8_t* dst) const {
   flush_mirror(vreg);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    dst[i] = lane_mask_bit(vreg, i, mask_layout_) ? 1 : 0;
-  }
+  for_each_mask_bit(vreg, n,
+                    [dst](std::uint64_t i, std::uint8_t byte, unsigned bit) {
+                      dst[i] = (byte >> bit) & 1u;
+                    });
 }
 
 void Vrf::write_mask_stream(unsigned vreg, std::uint64_t n,
                             const std::uint8_t* src) {
   flush_mirror(vreg);
   mirror_state_[vreg] = MirrorState::kInvalid;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    set_lane_mask_bit(vreg, i, mask_layout_, src[i] != 0);
-  }
+  for_each_mask_bit(vreg, n,
+                    [src](std::uint64_t i, std::uint8_t& byte, unsigned bit) {
+                      const auto m = static_cast<std::uint8_t>(1u << bit);
+                      byte = static_cast<std::uint8_t>(src[i] != 0 ? byte | m : byte & ~m);
+                    });
 }
 
 std::uint64_t Vrf::reshuffle_mask(unsigned vreg, MaskLayout from, MaskLayout to,

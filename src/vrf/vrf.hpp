@@ -192,6 +192,11 @@ class Vrf {
                                    MaskLayout layout) const;
   void set_lane_mask_bit(unsigned vreg, std::uint64_t i, MaskLayout layout,
                          bool value);
+  /// Calls visit(i, byte, bit) for mask bits [0, n) of `vreg` in the
+  /// current layout, where bit `bit` of the lane byte `byte` holds bit i.
+  /// The caller flushes the mirror.
+  template <typename Visit>
+  void for_each_mask_bit(unsigned vreg, std::uint64_t n, Visit&& visit) const;
 
   /// Materializes a dirty mirror into the lane bytes. The inline wrapper
   /// keeps the common no-op check out of the transpose path. Const because

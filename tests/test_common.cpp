@@ -2,8 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <cstdint>
+#include <cstdio>
+#include <limits>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "common/bits.hpp"
 #include "common/contracts.hpp"
@@ -80,6 +86,47 @@ TEST(Fmt, Numbers) {
   EXPECT_EQ(fmt_group(1000), "1,000");
   EXPECT_EQ(fmt_group(12641), "12,641");
   EXPECT_EQ(fmt_group(1234567890), "1,234,567,890");
+}
+
+TEST(Fmt, FixedSpellingsMatchPrintf) {
+  // fmt_f/fmt_pct are defined as printf's "%.*f" (C locale); report
+  // tables print thousands of them through std::to_chars.
+  const auto printf_f = [](double v, int prec) {
+    char buf[400];
+    std::snprintf(buf, sizeof buf, "%.*f", prec, v);
+    return std::string(buf);
+  };
+  std::vector<double> values = {0.0, -0.0, 0.5, 1.5, 2.5, 0.125, 0.045, 1.005,
+                                99.995, 1e-320, 1e22, 1.7976931348623157e308,
+                                std::numeric_limits<double>::infinity(),
+                                -std::numeric_limits<double>::infinity(),
+                                std::numeric_limits<double>::quiet_NaN()};
+  std::uint64_t state = 7;
+  for (int i = 0; i < 20000; ++i) {
+    std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    z ^= z >> 31;
+    // Half raw bit patterns, half values in the ranges tables print.
+    values.push_back(i % 2 == 0 ? std::bit_cast<double>(z)
+                                : static_cast<double>(z % 10000000) / 1024.0);
+  }
+  for (const double v : values) {
+    for (int prec = 0; prec <= 4; ++prec) {
+      ASSERT_EQ(fmt_f(v, prec), printf_f(v, prec)) << v << " prec " << prec;
+      ASSERT_EQ(fmt_pct(v, prec), printf_f(v * 100.0, prec) + "%") << v;
+    }
+  }
+}
+
+TEST(Fmt, StrprintfKeepsOutputOfAnyLength) {
+  // It used to stop at 511 bytes, cutting the tail off long log lines.
+  const std::string long_arg(600, 'x');
+  const std::string out = strprintf("[%s]%d", long_arg.c_str(), 42);
+  EXPECT_EQ(out, "[" + long_arg + "]42");
+  EXPECT_EQ(strprintf("%s", ""), "");
+  EXPECT_EQ(strprintf("%05.1f|%llu", 2.25, 18446744073709551615ull),
+            "002.2|18446744073709551615");
 }
 
 TEST(Fmt, Engineering) {

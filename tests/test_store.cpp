@@ -714,7 +714,8 @@ TEST(Json, StatsReaderTakesTheFirstMemberOfANameInAnyOrder) {
   // takes the first member of a name, wherever the writer put it.
   const RunStats s = every_word_stats();
   std::string fields;
-  append_stats_fields(fields, s, StatsForm::kStore);
+  JsonWriter w(fields);
+  append_stats_fields(w, s, StatsForm::kStore);
   JsonValue obj = parse_json("{" + fields + "}");
   std::reverse(obj.fields.begin(), obj.fields.end());
   expect_same_words(read_stats_fields(obj, StatsForm::kStore), s);
@@ -728,9 +729,10 @@ TEST(Json, StatsReaderTakesTheFirstMemberOfANameInAnyOrder) {
   EXPECT_EQ(early.total_lanes, s.total_lanes);
 }
 
-// Every report, store line and artifact spells its numbers through these;
-// the formats were defined as printf's %llu and %.17g (C locale).
-TEST(JsonNumbers, SpellingsMatchPrintf) {
+// Every report, store line and artifact spells its numbers through these
+// appenders; the formats were defined as printf's %llu and %.17g (C
+// locale), which is what std::to_chars is specified to reproduce.
+TEST(JsonNumbers, AppendersMatchPrintf) {
   const auto printf_u64 = [](std::uint64_t v) {
     char buf[32];
     std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(v));
@@ -741,10 +743,15 @@ TEST(JsonNumbers, SpellingsMatchPrintf) {
     std::snprintf(buf, sizeof buf, "%.17g", v);
     return std::string(buf);
   };
+  // Appending keeps what the string already holds.
   const auto expect_both = [&](std::uint64_t bits) {
-    EXPECT_EQ(json_u64(bits), printf_u64(bits)) << bits;
+    std::string u = "x";
+    append_u64(u, bits);
+    EXPECT_EQ(u, std::string("x").append(printf_u64(bits))) << bits;
     const double d = std::bit_cast<double>(bits);
-    EXPECT_EQ(json_double(d), printf_double(d)) << std::hex << bits;
+    std::string g = "y";
+    append_double(g, d);
+    EXPECT_EQ(g, std::string("y").append(printf_double(d))) << std::hex << bits;
   };
   const double p53 = 9007199254740992.0;
   for (const double d :
@@ -772,6 +779,38 @@ TEST(JsonNumbers, SpellingsMatchPrintf) {
     expect_both(z ^ (z >> 31));
     if (HasFailure()) return;
   }
+}
+
+TEST(JsonWriter, EscapesEveryByteAndPlacesCommas) {
+  // Each byte against the escape rule: quote, backslash, \n and \t by
+  // name, other control bytes as \u00xx, everything else verbatim.
+  for (int b = 0; b < 256; ++b) {
+    const char c = static_cast<char>(b);
+    std::string want = "a";
+    if (c == '"' || c == '\\') {
+      want += '\\';
+      want += c;
+    } else if (c == '\n') {
+      want += "\\n";
+    } else if (c == '\t') {
+      want += "\\t";
+    } else if (b < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof buf, "\\u%04x", b);
+      want += buf;
+    } else {
+      want += c;
+    }
+    want += "z";
+    std::string got = "a";
+    append_escaped(got, std::string("") + c + "z");
+    EXPECT_EQ(got, want) << b;
+  }
+  std::string out;
+  JsonWriter w(out);
+  w.open().key("n").u64(3).key("xs").open_array().num(0.5).str("q\"").null();
+  w.open().close().close_array().key("ok").boolean(true).close();
+  EXPECT_EQ(out, R"({"n":3,"xs":[0.5,"q\"",null,{}],"ok":true})");
 }
 
 TEST(ResultStoreTest, OneFlippedByteCostsExactlyOneLine) {

@@ -73,6 +73,28 @@ TEST(Trace, GanttRendersWindow) {
   EXPECT_NE(art.find('#'), std::string::npos);
 }
 
+TEST(Trace, GanttRowsWiderThanAFewHundredColumnsKeepTheirEnds) {
+  Machine m(MachineConfig::araxl(16));
+  ProgramBuilder pb(m.config().effective_vlen(), "g");
+  pb.vsetvli(512, Sew::k64, kLmul2);
+  pb.vle(8, 0x10000);
+  pb.vse(8, 0x20000);
+  InstrTrace trace;
+  const RunStats stats = m.run(pb.take(), &trace);
+  const unsigned width = 600;
+  const std::string art = trace.gantt(0, stats.cycles, width);
+  // Every instruction row: 28-column label, " |", the bar, "|\n".
+  std::size_t rows = 0;
+  for (std::size_t at = art.find('\n') + 1; at < art.size(); ++rows) {
+    const std::size_t nl = art.find('\n', at);
+    ASSERT_NE(nl, std::string::npos);
+    EXPECT_EQ(nl - at, 28 + 2 + width + 1);
+    EXPECT_EQ(art[nl - 1], '|');
+    at = nl + 1;
+  }
+  EXPECT_EQ(rows, 2u);
+}
+
 TEST(Trace, GanttEmptyWindow) {
   InstrTrace trace;
   const std::string art = trace.gantt(0, 100, 40);
