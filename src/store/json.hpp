@@ -1,4 +1,5 @@
-// Minimal JSON reader for the result store and report merger.
+// Minimal JSON reader for the result store and report merger, and the
+// number/string writers every report, store line and artifact uses.
 //
 // The store's JSONL records and the driver's reports are machine-written
 // flat documents, but the loader must survive hand edits, truncation, and
