@@ -878,8 +878,8 @@ bool FunctionalEngine::exec_memory_bulk_masked_unit(const VInstr& in) {
 
   // v0 is read once, as a stream, before vd is touched.
   scratch_.v0.resize(vl_);
-  const std::uint8_t* v0 = scratch_.v0.data();
   vrf_.read_mask_stream(0, vl_, scratch_.v0.data());
+  const std::uint8_t* v0 = scratch_.v0.data();
 
   // Fixed-width copies so the compiler lowers each to a plain load/store.
   const auto stream = [&]<unsigned kW>() {

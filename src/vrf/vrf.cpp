@@ -258,8 +258,9 @@ void Vrf::write_mask_stream(unsigned vreg, std::uint64_t n,
   mirror_state_[vreg] = MirrorState::kInvalid;
   for_each_mask_bit(vreg, n,
                     [src](std::uint64_t i, std::uint8_t& byte, unsigned bit) {
-                      const auto m = static_cast<std::uint8_t>(1u << bit);
-                      byte = static_cast<std::uint8_t>(src[i] != 0 ? byte | m : byte & ~m);
+                      const unsigned m = 1u << bit;
+                      byte = static_cast<std::uint8_t>(src[i] != 0 ? byte | m
+                                                                  : byte & ~m);
                     });
 }
 

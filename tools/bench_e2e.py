@@ -121,9 +121,26 @@ def main():
             entry[section] = rows
         out["workloads"][w] = entry
     with open(args.out, "w") as f:
-        json.dump(out, f, indent=1, sort_keys=True)
-        f.write("\n")
+        f.write(render(out))
     return 0
+
+
+def render(doc):
+    """JSON with one line per metric, so a diff shows which metrics moved."""
+    def line(value):
+        return json.dumps(value, sort_keys=True)
+    head = {k: v for k, v in doc.items() if k != "workloads"}
+    parts = [f" {line(k)}: {line(v)}" for k, v in sorted(head.items())]
+    workloads = []
+    for w, entry in doc["workloads"].items():
+        sections = []
+        for section, rows in entry.items():
+            body = ",\n".join(f"    {line(name)}: {line(row)}"
+                              for name, row in rows.items())
+            sections.append(f"   {line(section)}: {{\n{body}\n   }}")
+        workloads.append(f"  {line(w)}: {{\n" + ",\n".join(sections) + "\n  }")
+    parts.append(' "workloads": {\n' + ",\n".join(workloads) + "\n }")
+    return "{\n" + ",\n".join(parts) + "\n}\n"
 
 
 if __name__ == "__main__":
