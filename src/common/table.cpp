@@ -52,11 +52,7 @@ std::string TextTable::render() const {
     out += "|\n";
   };
 
-  // Every line, rule or row, is equally wide: reserve the whole table.
-  std::size_t line = 2;  // the closing "|\n" or "+\n"
-  for (const std::size_t w : width) line += w + 3;
   std::string out;
-  out.reserve(line * (rows_.size() + 4));
   emit_rule(out);
   emit_row(out, header_);
   emit_rule(out);

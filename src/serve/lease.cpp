@@ -19,13 +19,9 @@ namespace {
 
 using store::with_check;
 
-/// `obj[key]`; the message is built only on failure (runs per field).
-const store::JsonValue& field(const store::JsonValue& obj,
-                              std::string_view key) {
-  const store::JsonValue* v = obj.get(key);
-  if (v == nullptr) fail("lease is missing field '" + std::string(key) + "'");
-  return *v;
-}
+using store::require_field;
+
+constexpr std::string_view kLease = "lease";
 
 /// Writes `content` to `path` in one shot; false on any I/O error.
 bool write_file(const std::string& path, const std::string& content) {
@@ -100,11 +96,11 @@ Lease parse_lease(std::string_view line) {
   check(stored != nullptr, "lease has no checksum");
   check(stored->as_string() == *computed, "lease checksum mismatch");
   Lease lease;
-  lease.job = field(doc, "job").as_u64();
-  lease.worker = field(doc, "worker").as_string();
-  lease.generation = field(doc, "gen").as_u64();
-  lease.claimed_ms = field(doc, "claimed_ms").as_u64();
-  lease.expires_ms = field(doc, "expires_ms").as_u64();
+  lease.job = require_field(doc, "job", kLease).as_u64();
+  lease.worker = require_field(doc, "worker", kLease).as_string();
+  lease.generation = require_field(doc, "gen", kLease).as_u64();
+  lease.claimed_ms = require_field(doc, "claimed_ms", kLease).as_u64();
+  lease.expires_ms = require_field(doc, "expires_ms", kLease).as_u64();
   return lease;
 }
 

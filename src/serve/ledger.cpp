@@ -18,6 +18,7 @@ namespace {
 using store::JsonValue;
 using store::JsonWriter;
 using store::parse_json;
+using store::require_field;
 
 // Same checksummed-line discipline as the result store
 // (store::with_check / store::expected_check).
@@ -32,23 +33,7 @@ void verify_check(std::string_view line, const JsonValue& doc) {
   check(stored->as_string() == *computed, "ledger line checksum mismatch");
 }
 
-// Contract messages are built only on failure: these run for every field
-// of every ledger line.
-const JsonValue& field(const JsonValue& obj, std::string_view key) {
-  const JsonValue* v = obj.get(key);
-  if (v == nullptr) {
-    fail("ledger line is missing field '" + std::string(key) + "'");
-  }
-  return *v;
-}
-
-std::uint64_t field_u64(const JsonValue& obj, std::string_view key) {
-  return field(obj, key).as_u64();
-}
-
-std::string field_string(const JsonValue& obj, std::string_view key) {
-  return field(obj, key).as_string();
-}
+constexpr std::string_view kLine = "ledger line";
 
 std::vector<std::string> field_strings(const JsonValue& obj,
                                        std::string_view key) {
@@ -111,10 +96,10 @@ std::string serialize_header(const LedgerSpec& spec) {
 LedgerSpec parse_header(std::string_view line) {
   const JsonValue doc = parse_json(line);
   verify_check(line, doc);
-  check(field_string(doc, "type") == "sweep",
+  check(require_field(doc, "type", kLine).as_string() == "sweep",
         "ledger header has the wrong type");
   LedgerSpec spec;
-  spec.version = field_string(doc, "version");
+  spec.version = require_field(doc, "version", kLine).as_string();
   spec.configs = field_strings(doc, "configs");
   spec.kernels = field_strings(doc, "kernels");
   const JsonValue* bpl = doc.get("bpl");
@@ -123,11 +108,11 @@ LedgerSpec parse_header(std::string_view line) {
   for (const JsonValue& item : bpl->items) {
     spec.bytes_per_lane.push_back(item.as_u64());
   }
-  spec.base_seed = field_u64(doc, "base_seed");
+  spec.base_seed = require_field(doc, "base_seed", kLine).as_u64();
   const JsonValue* verify = doc.get("verify");
   check(verify != nullptr, "ledger header is missing 'verify'");
   spec.verify = verify->as_bool();
-  spec.jobs = field_u64(doc, "jobs");
+  spec.jobs = require_field(doc, "jobs", kLine).as_u64();
   check(!spec.configs.empty() && !spec.kernels.empty() &&
             !spec.bytes_per_lane.empty(),
         "ledger header has an empty sweep axis");
@@ -157,16 +142,17 @@ std::string serialize_done(const DoneRecord& rec) {
 DoneRecord parse_done(std::string_view line) {
   const JsonValue doc = parse_json(line);
   verify_check(line, doc);
-  check(field_string(doc, "type") == "done", "ledger line has the wrong type");
+  check(require_field(doc, "type", kLine).as_string() == "done",
+        "ledger line has the wrong type");
   DoneRecord rec;
-  rec.job = field_u64(doc, "job");
-  rec.fingerprint = field_string(doc, "fp");
-  rec.worker = field_string(doc, "worker");
-  rec.status = field_string(doc, "status");
-  rec.attempts = field_u64(doc, "attempts");
-  rec.duration_ms = field_u64(doc, "duration_ms");
-  rec.json_record = field_string(doc, "json");
-  rec.csv_row = field_string(doc, "csv");
+  rec.job = require_field(doc, "job", kLine).as_u64();
+  rec.fingerprint = require_field(doc, "fp", kLine).as_string();
+  rec.worker = require_field(doc, "worker", kLine).as_string();
+  rec.status = require_field(doc, "status", kLine).as_string();
+  rec.attempts = require_field(doc, "attempts", kLine).as_u64();
+  rec.duration_ms = require_field(doc, "duration_ms", kLine).as_u64();
+  rec.json_record = require_field(doc, "json", kLine).as_string();
+  rec.csv_row = require_field(doc, "csv", kLine).as_string();
   check(!rec.json_record.empty() && !rec.csv_row.empty(),
         "ledger done record has empty report texts");
   return rec;

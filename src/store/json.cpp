@@ -248,6 +248,15 @@ const JsonValue* JsonValue::get(std::string_view key) const {
   return nullptr;
 }
 
+const JsonValue& require_field(const JsonValue& obj, std::string_view key,
+                               std::string_view what) {
+  const JsonValue* v = obj.get(key);
+  if (v == nullptr) {
+    fail(std::string(what) + " is missing field '" + std::string(key) + "'");
+  }
+  return *v;
+}
+
 std::uint64_t JsonValue::as_u64() const {
   check(kind == Kind::kNumber, "JSON value is not a number");
   std::uint64_t v = 0;

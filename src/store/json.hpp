@@ -45,6 +45,13 @@ struct JsonValue {
 /// ContractViolation with a position on any syntax error.
 [[nodiscard]] JsonValue parse_json(std::string_view text);
 
+/// `obj[key]`, or ContractViolation "<what> is missing field '<key>'". The
+/// message is built only on failure: readers call this for every field of
+/// every store, ledger and lease line.
+[[nodiscard]] const JsonValue& require_field(const JsonValue& obj,
+                                             std::string_view key,
+                                             std::string_view what);
+
 // ---- writing ---------------------------------------------------------------
 // Every report, store line and analysis artifact spells its numbers and
 // strings through the three appenders below. The warm-replay and merge

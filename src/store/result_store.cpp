@@ -17,11 +17,7 @@ namespace araxl::store {
 
 namespace {
 
-const JsonValue& field(const JsonValue& obj, std::string_view key) {
-  const JsonValue* v = obj.get(key);
-  if (v == nullptr) fail("store record is missing field '" + std::string(key) + "'");
-  return *v;
-}
+constexpr std::string_view kRecord = "store record";
 
 /// deserialize() up to, not including, the provenance check: throws
 /// ContractViolation on syntax, checksum or schema errors.
@@ -31,25 +27,28 @@ StoredResult decode(std::string_view line) {
   const std::optional<std::string> computed = expected_check(line);
   check(computed.has_value(), "store record has no checksum");
   const JsonValue doc = parse_json(line);
-  const std::string& stored_check = field(doc, "check").as_string();
+  const std::string& stored_check =
+      require_field(doc, "check", kRecord).as_string();
   check(stored_check == *computed, "store record checksum mismatch");
 
   StoredResult r;
-  r.fingerprint = field(doc, "fp").as_string();
-  r.version = field(doc, "version").as_string();
-  r.config = field(doc, "config").as_string();
-  r.label = field(doc, "label").as_string();
-  r.kernel = field(doc, "kernel").as_string();
-  r.bytes_per_lane = field(doc, "bpl").as_u64();
-  r.seed = field(doc, "seed").as_u64();
+  r.fingerprint = require_field(doc, "fp", kRecord).as_string();
+  r.version = require_field(doc, "version", kRecord).as_string();
+  r.config = require_field(doc, "config", kRecord).as_string();
+  r.label = require_field(doc, "label", kRecord).as_string();
+  r.kernel = require_field(doc, "kernel", kRecord).as_string();
+  r.bytes_per_lane = require_field(doc, "bpl", kRecord).as_u64();
+  r.seed = require_field(doc, "seed", kRecord).as_u64();
 
   // Fields newer than the seed schema read as 0 from older records (no
   // schema bump: the fingerprint already embeds the build version).
-  r.stats = read_stats_fields(field(doc, "stats"), StatsForm::kStore);
-  r.verified = field(doc, "verified").as_bool();
-  r.tolerance = field(doc, "tolerance").as_double();
-  r.verify.checked = field(doc, "checked").as_u64();
-  r.verify.max_rel_err = field(doc, "max_rel_err").as_double();
+  r.stats = read_stats_fields(require_field(doc, "stats", kRecord),
+                              StatsForm::kStore);
+  r.verified = require_field(doc, "verified", kRecord).as_bool();
+  r.tolerance = require_field(doc, "tolerance", kRecord).as_double();
+  r.verify.checked = require_field(doc, "checked", kRecord).as_u64();
+  r.verify.max_rel_err =
+      require_field(doc, "max_rel_err", kRecord).as_double();
   return r;
 }
 

@@ -222,11 +222,11 @@ void Vrf::for_each_mask_bit(unsigned vreg, std::uint64_t n,
     // mapping places like one 8-byte element: contiguous in one lane.
     for (std::uint64_t w = 0; w * 64 < n; ++w) {
       const MaskBitLoc loc = mask_bit_loc(map_, mask_layout_, w * 64);
-      std::uint8_t* run =
-          &bytes_[chunk_index(loc.cluster, loc.lane, vreg, loc.byte_offset)];
+      const std::size_t run =
+          chunk_index(loc.cluster, loc.lane, vreg, loc.byte_offset);
       const std::uint64_t bits = std::min<std::uint64_t>(64, n - w * 64);
       for (std::uint64_t b = 0; b < bits; ++b) {
-        visit(w * 64 + b, run[b / 8], static_cast<unsigned>(b % 8));
+        visit(w * 64 + b, run + b / 8, static_cast<unsigned>(b % 8));
       }
     }
     return;
@@ -236,9 +236,9 @@ void Vrf::for_each_mask_bit(unsigned vreg, std::uint64_t n,
   const std::uint64_t total = map_.topology().total_lanes();
   for (std::uint64_t l = 0; l < total && l < n; ++l) {
     const MaskBitLoc loc = mask_bit_loc(map_, mask_layout_, l);
-    std::uint8_t* run = &bytes_[chunk_index(loc.cluster, loc.lane, vreg, 0)];
+    const std::size_t run = chunk_index(loc.cluster, loc.lane, vreg, 0);
     for (std::uint64_t row = 0, i = l; i < n; ++row, i += total) {
-      visit(i, run[row / 8], static_cast<unsigned>(row % 8));
+      visit(i, run + row / 8, static_cast<unsigned>(row % 8));
     }
   }
 }
@@ -247,8 +247,8 @@ void Vrf::read_mask_stream(unsigned vreg, std::uint64_t n,
                            std::uint8_t* dst) const {
   flush_mirror(vreg);
   for_each_mask_bit(vreg, n,
-                    [dst](std::uint64_t i, std::uint8_t byte, unsigned bit) {
-                      dst[i] = (byte >> bit) & 1u;
+                    [this, dst](std::uint64_t i, std::size_t at, unsigned bit) {
+                      dst[i] = (bytes_[at] >> bit) & 1u;
                     });
 }
 
@@ -257,7 +257,8 @@ void Vrf::write_mask_stream(unsigned vreg, std::uint64_t n,
   flush_mirror(vreg);
   mirror_state_[vreg] = MirrorState::kInvalid;
   for_each_mask_bit(vreg, n,
-                    [src](std::uint64_t i, std::uint8_t& byte, unsigned bit) {
+                    [this, src](std::uint64_t i, std::size_t at, unsigned bit) {
+                      std::uint8_t& byte = bytes_[at];
                       const unsigned m = 1u << bit;
                       byte = static_cast<std::uint8_t>(src[i] != 0 ? byte | m
                                                                   : byte & ~m);

@@ -192,9 +192,10 @@ class Vrf {
                                    MaskLayout layout) const;
   void set_lane_mask_bit(unsigned vreg, std::uint64_t i, MaskLayout layout,
                          bool value);
-  /// Calls visit(i, byte, bit) for mask bits [0, n) of `vreg` in the
-  /// current layout, where bit `bit` of the lane byte `byte` holds bit i.
-  /// The caller flushes the mirror.
+  /// Calls visit(i, at, bit) for mask bits [0, n) of `vreg` in the
+  /// current layout, where bit `bit` of the lane byte `bytes_[at]` holds
+  /// bit i. The walk only locates bits; the caller flushes the mirror and
+  /// reads or writes `bytes_` itself.
   template <typename Visit>
   void for_each_mask_bit(unsigned vreg, std::uint64_t n, Visit&& visit) const;
 

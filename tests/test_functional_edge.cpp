@@ -7,6 +7,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
+#include <tuple>
 #include <variant>
 #include <vector>
 
@@ -200,19 +202,29 @@ INSTANTIATE_TEST_SUITE_P(AllWidths, NarrowMem,
                            return std::string(sew_name(info.param));
                          });
 
-class BulkMaskedMem : public testing::TestWithParam<Sew> {};
+// Both mask layouts: AraXL keeps v0 lane-local, Ara2 in the standard
+// layout, and the bulk path reads v0 through the layout's stream walk.
+class BulkMaskedMem
+    : public testing::TestWithParam<std::tuple<Sew, MaskLayout>> {
+ protected:
+  Sew sew() const { return std::get<0>(GetParam()); }
+  Machine machine() const {
+    return Machine(std::get<1>(GetParam()) == MaskLayout::kLaneLocal
+                       ? MachineConfig::araxl(8)
+                       : MachineConfig::ara2(8));
+  }
+};
 
 TEST_P(BulkMaskedMem, LoadMergesInactiveElements) {
   // Masked unit-stride load through the bulk path (whole range in bounds):
   // active elements come from memory, inactive ones keep the destination's
   // prior (sentinel) contents — the load-merge the per-element path
   // implements one element at a time.
-  const Sew sew = GetParam();
-  const unsigned ew = sew_bytes(sew);
-  Machine m = small_machine();
+  const unsigned ew = sew_bytes(sew());
+  Machine m = machine();
   const std::uint64_t vl = 171;  // odd length: tail not mask-word aligned
   ProgramBuilder pb(m.config().effective_vlen(), "bmload");
-  pb.vsetvli(vl, sew, kLmul2);
+  pb.vsetvli(vl, sew(), kLmul2);
   pb.vle(8, 0x10000, /*masked=*/true);
   const Program prog = pb.take();
   Rng rng(47);
@@ -237,12 +249,11 @@ TEST_P(BulkMaskedMem, LoadMergesInactiveElements) {
 }
 
 TEST_P(BulkMaskedMem, StoreSkipsInactiveElements) {
-  const Sew sew = GetParam();
-  const unsigned ew = sew_bytes(sew);
-  Machine m = small_machine();
+  const unsigned ew = sew_bytes(sew());
+  Machine m = machine();
   const std::uint64_t vl = 171;
   ProgramBuilder pb(m.config().effective_vlen(), "bmstore");
-  pb.vsetvli(vl, sew, kLmul2);
+  pb.vsetvli(vl, sew(), kLmul2);
   pb.vse(8, 0x20000, /*masked=*/true);
   const Program prog = pb.take();
   Rng rng(48);
@@ -271,11 +282,16 @@ TEST_P(BulkMaskedMem, StoreSkipsInactiveElements) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllWidths, BulkMaskedMem,
-                         testing::Values(Sew::k8, Sew::k16, Sew::k32, Sew::k64),
-                         [](const testing::TestParamInfo<Sew>& info) {
-                           return std::string(sew_name(info.param));
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    AllWidths, BulkMaskedMem,
+    testing::Combine(testing::Values(Sew::k8, Sew::k16, Sew::k32, Sew::k64),
+                     testing::Values(MaskLayout::kLaneLocal,
+                                     MaskLayout::kStandard)),
+    [](const testing::TestParamInfo<std::tuple<Sew, MaskLayout>>& info) {
+      return std::string(sew_name(std::get<0>(info.param))) +
+             (std::get<1>(info.param) == MaskLayout::kLaneLocal ? "_lanelocal"
+                                                                : "_standard");
+    });
 
 TEST(BulkMaskedMemEdge, OobTailInactiveFallsBackToPerElement) {
   // The whole-range bounds check fails (the tail runs past the end of

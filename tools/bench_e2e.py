@@ -67,20 +67,18 @@ def main():
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--rounds", type=int, required=True)
-    ap.add_argument("--workloads", default=",".join(WORKLOADS))
     ap.add_argument("--out", required=True)
     args = ap.parse_args()
 
     trees = {"parent": os.path.abspath(args.parent),
              "change": os.path.abspath(args.change)}
-    workloads = args.workloads.split(",")
     # samples[workload][trace][side][metric] = [values]
     samples = {w: {t: {s: {} for s in trees} for t in (0, 1)}
-               for w in workloads}
+               for w in WORKLOADS}
     units = {}
     for rnd in range(args.rounds):
         order = ("parent", "change") if rnd % 2 == 0 else ("change", "parent")
-        for w in workloads:
+        for w in WORKLOADS:
             for trace in (0, 1):
                 for side in order:
                     metrics = run_once(trees[side], w, args.seed, args.seconds,
@@ -102,7 +100,7 @@ def main():
         "change_rev": args.change_rev,
         "workloads": {},
     }
-    for w in workloads:
+    for w in WORKLOADS:
         entry = {}
         for trace, section in ((0, "end_to_end"), (1, "per_layer")):
             rows = {}
