@@ -33,11 +33,9 @@ std::string disasm(const VInstr& in) {
       in.op == Op::kVmvVX || in.op == Op::kVmulVX || in.op == Op::kVrsubVX) {
     out += sep() + "x=" + std::to_string(in.xs);
   }
-  if (spec.reads_mem || spec.writes_mem) {
+  if (spec.mem != MemMode::kNone) {
     out += sep() + strprintf("0x%llx", static_cast<unsigned long long>(in.addr));
-    if (in.op == Op::kVlse || in.op == Op::kVsse) {
-      out += ", stride=" + std::to_string(in.stride);
-    }
+    if (spec.mem == MemMode::kStrided) out += ", stride=" + std::to_string(in.stride);
   }
   if (in.masked) out += ", v0.t";
   return out;

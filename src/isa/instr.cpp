@@ -22,6 +22,7 @@ struct SpecBuilder {
   SpecBuilder& wd() { s.writes_vd = true; return *this; }
   SpecBuilder& rmem() { s.reads_mem = true; return *this; }
   SpecBuilder& wmem() { s.writes_mem = true; return *this; }
+  SpecBuilder& mem(MemMode m) { s.mem = m; return *this; }
   SpecBuilder& wmask() { s.writes_mask = true; return *this; }
   SpecBuilder& acc() { s.reads_scalar_acc_ok = true; return *this; }
   SpecBuilder& ret() { s.returns_scalar = true; return *this; }
@@ -41,12 +42,12 @@ const std::array<OpSpec, kNumOps> kSpecs = {
     // config
     OpSpec(B("vsetvli", Unit::kNone).ret()),
     // memory
-    OpSpec(B("vle64.v", Unit::kLoad).wd().rmem()),
-    OpSpec(B("vse64.v", Unit::kStore).rd().wmem()),
-    OpSpec(B("vlse64.v", Unit::kLoad).wd().rmem()),
-    OpSpec(B("vsse64.v", Unit::kStore).rd().wmem()),
-    OpSpec(B("vluxei64.v", Unit::kLoad).r2().wd().rmem()),
-    OpSpec(B("vsuxei64.v", Unit::kStore).r2().rd().wmem()),
+    OpSpec(B("vle64.v", Unit::kLoad).wd().rmem().mem(MemMode::kUnit)),
+    OpSpec(B("vse64.v", Unit::kStore).rd().wmem().mem(MemMode::kUnit)),
+    OpSpec(B("vlse64.v", Unit::kLoad).wd().rmem().mem(MemMode::kStrided)),
+    OpSpec(B("vsse64.v", Unit::kStore).rd().wmem().mem(MemMode::kStrided)),
+    OpSpec(B("vluxei64.v", Unit::kLoad).r2().wd().rmem().mem(MemMode::kIndexed)),
+    OpSpec(B("vsuxei64.v", Unit::kStore).r2().rd().wmem().mem(MemMode::kIndexed)),
     // fp arithmetic
     OpSpec(B("vfadd.vv", Unit::kFpu).r1().r2().wd().fl(1)),
     OpSpec(B("vfadd.vf", Unit::kFpu).r2().wd().acc().fl(1)),
@@ -141,12 +142,5 @@ const OpSpec& op_spec(Op op) {
   check(idx < kSpecs.size(), "unknown opcode");
   return kSpecs[idx];
 }
-
-bool is_mem_op(Op op) {
-  const OpSpec& s = op_spec(op);
-  return s.reads_mem || s.writes_mem;
-}
-
-bool is_arith_fp(Op op) { return op_spec(op).flops_per_elem > 0; }
 
 }  // namespace araxl

@@ -144,11 +144,17 @@ struct VInstr {
   Vtype vtype{};          ///< requested vtype (vsetvli only)
 };
 
+/// How a memory op forms its element addresses (RVV 1.0 §7.4-7.6): unit
+/// stride (addr + i*SEW), constant byte stride (addr + i*stride) or indexed
+/// (addr + vs2[i]). kNone for every op that does not access memory.
+enum class MemMode : std::uint8_t { kNone, kUnit, kStrided, kIndexed };
+
 /// Static properties of an opcode used by both the functional model and the
 /// timing engine.
 struct OpSpec {
   std::string_view mnemonic;
   Unit unit = Unit::kNone;
+  MemMode mem = MemMode::kNone;  ///< addressing mode of a memory op
   bool reads_vs1 = false;
   bool reads_vs2 = false;
   bool reads_vd = false;    ///< FMA family, stores, merges, partial slides
@@ -169,10 +175,6 @@ struct OpSpec {
 
 /// Property lookup for `op`.
 const OpSpec& op_spec(Op op);
-
-/// Convenience predicates.
-bool is_mem_op(Op op);
-bool is_arith_fp(Op op);
 
 }  // namespace araxl
 

@@ -105,10 +105,8 @@ LoopNest find_loop_nest(const Program& prog, const LoopRegion& region) {
     if (first >= region.end) break;
     const auto* in = std::get_if<VInstr>(&prog.ops[first]);
     if (in == nullptr) continue;
-    if (in->op != Op::kVle && in->op != Op::kVse && in->op != Op::kVlse &&
-        in->op != Op::kVsse) {
-      continue;
-    }
+    const MemMode mode = op_spec(in->op).mem;
+    if (mode != MemMode::kUnit && mode != MemMode::kStrided) continue;
     // Per-period address deltas of this position class.
     std::vector<std::uint64_t> d;
     for (std::size_t i = first; i + p < region.end; i += p) {

@@ -596,6 +596,44 @@ constexpr auto kRowOf = [] {
 static_assert(std::ranges::count(kRowOf, nullptr) + std::size(kRows) == kNumOps,
               "an op has two rows");
 
+// ---- memory ops --------------------------------------------------------------
+
+/// Address of element i of a memory op; `index` is vs2[i] of an indexed op.
+/// The arithmetic wraps at 64 bits, so a negative stride steps down.
+std::uint64_t elem_addr(const VInstr& in, MemMode mode, unsigned ew, std::uint64_t i,
+                        std::uint64_t index) {
+  switch (mode) {
+    case MemMode::kUnit: return in.addr + i * ew;
+    case MemMode::kStrided: return in.addr + i * static_cast<std::uint64_t>(in.stride);
+    case MemMode::kIndexed: return in.addr + index;
+    case MemMode::kNone: break;
+  }
+  fail("not a memory op");
+}
+
+/// The reference for memory ops: each active element in ascending order
+/// through read_elem/write_elem/mask_bit and MainMemory's bounds-checked
+/// typed accessors. An out-of-bounds element faults after the elements
+/// before it have moved.
+void reference_memory(Vrf& vrf, MainMemory& mem, const VInstr& in, std::uint64_t vl,
+                      unsigned ew) {
+  const OpSpec& spec = op_spec(in.op);
+  with_width<kInt>(ew, [&](auto word) {
+    using T = decltype(word);
+    for (std::uint64_t i = 0; i < vl; ++i) {
+      if (in.masked && !vrf.mask_bit(0, i)) continue;
+      const std::uint64_t index =
+          spec.mem == MemMode::kIndexed ? vrf.read_elem(in.vs2, i, ew) : 0;
+      const std::uint64_t a = elem_addr(in, spec.mem, ew, i, index);
+      if (spec.reads_mem) {
+        vrf.write_elem(in.vd, i, ew, mem.load<T>(a));
+      } else {
+        mem.store<T>(a, static_cast<T>(vrf.read_elem(in.vd, i, ew)));
+      }
+    }
+  });
+}
+
 }  // namespace
 
 FunctionalEngine::FunctionalEngine(const MachineConfig& cfg, Vrf& vrf,
@@ -642,7 +680,7 @@ void FunctionalEngine::exec(const VInstr& in) {
   if (vl_ == 0 || exec_row(in, false)) return;
 
   const OpSpec& spec = op_spec(in.op);
-  if (spec.reads_mem || spec.writes_mem) {
+  if (spec.mem != MemMode::kNone) {
     exec_memory(in);
   } else if (spec.widens) {
     exec_widening(in);
@@ -654,7 +692,11 @@ void FunctionalEngine::exec(const VInstr& in) {
 }
 
 void FunctionalEngine::exec_reference(const VInstr& in) {
-  if (vl_ == 0 || !exec_row(in, true)) exec(in);
+  if (vl_ != 0 && op_spec(in.op).mem != MemMode::kNone) {
+    reference_memory(vrf_, mem_, in, vl_, ew_bytes());
+  } else if (vl_ == 0 || !exec_row(in, true)) {
+    exec(in);
+  }
 }
 
 void FunctionalEngine::exec_widening(const VInstr& in) {
@@ -751,161 +793,65 @@ void FunctionalEngine::exec_mask_population(const VInstr& in) {
 }
 
 void FunctionalEngine::exec_memory(const VInstr& in) {
+  const OpSpec& spec = op_spec(in.op);
   const unsigned ew = ew_bytes();
-  // Unit-stride, unmasked accesses (the overwhelmingly common case) move
-  // as one bounds-checked stream between memory and the mapped VRF.
-  if ((in.op == Op::kVle || in.op == Op::kVse) && !in.masked) {
-    const std::uint64_t total = vl_ * ew;
-    if (in.op == Op::kVle) {
-      vrf_.write_stream(in.vd, vl_, ew, mem_.raw(in.addr, total));
+  const std::uint64_t n = vl_;
+  // A contiguous unmasked access (every benchmarked kernel's) moves as one
+  // bounds-checked stream between memory and the mapped VRF.
+  if (spec.mem == MemMode::kUnit && !in.masked) {
+    if (spec.reads_mem) {
+      vrf_.write_stream(in.vd, n, ew, mem_.raw(in.addr, n * ew));
     } else {
-      vrf_.read_stream(in.vd, vl_, ew, mem_.raw(in.addr, total));
+      vrf_.read_stream(in.vd, n, ew, mem_.raw(in.addr, n * ew));
     }
     return;
   }
-  if ((in.op == Op::kVlse || in.op == Op::kVsse) && !in.masked &&
-      exec_memory_bulk_strided(in)) {
-    return;
-  }
-  if ((in.op == Op::kVle || in.op == Op::kVse) && in.masked &&
-      exec_memory_bulk_masked_unit(in)) {
-    return;
-  }
-  const auto elem_addr = [&](std::uint64_t i) -> std::uint64_t {
-    switch (in.op) {
-      case Op::kVle:
-      case Op::kVse: return in.addr + i * ew;
-      case Op::kVlse:
-      case Op::kVsse:
-        return static_cast<std::uint64_t>(static_cast<std::int64_t>(in.addr) +
-                                          static_cast<std::int64_t>(i) * in.stride);
-      case Op::kVluxei:
-      case Op::kVsuxei: return in.addr + vrf_.read_elem(in.vs2, i, ew);
-      default: fail("not a memory op");
+  with_width<kInt>(ew, [&](auto word) {
+    constexpr unsigned kW = sizeof(word);
+    // 1. Element addresses; an indexed op reads its offsets from vs2.
+    std::vector<std::uint64_t>& addr = scratch_.addr;
+    addr.resize(n);
+    if (spec.mem == MemMode::kIndexed) {
+      scratch_.b.resize(n * kW);
+      vrf_.read_stream(in.vs2, n, kW, scratch_.b.data());
     }
-  };
-
-  const bool is_load = op_spec(in.op).reads_mem;
-  for (std::uint64_t i = 0; i < vl_; ++i) {
-    if (!active(in, i)) continue;
-    const std::uint64_t a = elem_addr(i);
-    if (is_load) {
-      std::uint64_t bits = 0;
-      switch (ew) {
-        case 1: bits = mem_.load<std::uint8_t>(a); break;
-        case 2: bits = mem_.load<std::uint16_t>(a); break;
-        case 4: bits = mem_.load<std::uint32_t>(a); break;
-        case 8: bits = mem_.load<std::uint64_t>(a); break;
-        default: fail("bad element width");
-      }
-      vrf_.write_elem(in.vd, i, ew, bits);
-    } else {
-      const std::uint64_t bits = vrf_.read_elem(in.vd, i, ew);
-      switch (ew) {
-        case 1: mem_.store<std::uint8_t>(a, static_cast<std::uint8_t>(bits)); break;
-        case 2: mem_.store<std::uint16_t>(a, static_cast<std::uint16_t>(bits)); break;
-        case 4: mem_.store<std::uint32_t>(a, static_cast<std::uint32_t>(bits)); break;
-        case 8: mem_.store<std::uint64_t>(a, bits); break;
-        default: fail("bad element width");
+    for (std::uint64_t i = 0; i < n; ++i) {
+      decltype(word) index{};
+      if (spec.mem == MemMode::kIndexed) std::memcpy(&index, &scratch_.b[i * kW], kW);
+      addr[i] = elem_addr(in, spec.mem, kW, i, index);
+    }
+    // 2. v0, once.
+    const std::uint8_t* m = nullptr;
+    if (in.masked) {
+      scratch_.v0.resize(n);
+      vrf_.read_mask_stream(0, n, scratch_.v0.data());
+      m = scratch_.v0.data();
+    }
+    // 3. Every active element is in bounds before any byte moves, so a
+    // faulting access leaves the VRF and memory as they were.
+    const std::uint64_t size = mem_.size();
+    for (std::uint64_t i = 0; i < n; ++i) {
+      if (m == nullptr || m[i] != 0) {
+        check(addr[i] < size && size - addr[i] >= kW, "memory access out of bounds");
       }
     }
-  }
-}
-
-bool FunctionalEngine::exec_memory_bulk_strided(const VInstr& in) {
-  const unsigned ew = ew_bytes();
-  const std::int64_t stride = in.stride;
-  // Address math must agree with the per-element path (signed stride on an
-  // unsigned base). Widen to 128 bits so huge strides cannot wrap; any
-  // transfer that leaves [0, mem) falls back to the per-element loop,
-  // which reports the out-of-bounds element exactly as before.
-  if (in.addr > mem_.size()) return false;
-  const __int128 first_a = static_cast<__int128>(in.addr);
-  const __int128 last_a =
-      first_a + static_cast<__int128>(vl_ - 1) * static_cast<__int128>(stride);
-  const __int128 lo = stride < 0 ? last_a : first_a;
-  const __int128 hi = (stride < 0 ? first_a : last_a) + ew;
-  if (lo < 0 || hi > static_cast<__int128>(mem_.size())) return false;
-
-  const std::uint64_t umin = static_cast<std::uint64_t>(lo);
-  const std::uint64_t span = static_cast<std::uint64_t>(hi) - umin;
-  const bool is_load = in.op == Op::kVlse;
-  buf_mem_.resize(vl_ * ew);
-  std::uint8_t* buf = buf_mem_.data();
-
-  // Fixed-width copies so the compiler lowers each to a plain load/store.
-  const auto stream = [&]<unsigned kW>() {
-    if (is_load) {
-      const std::uint8_t* first = mem_.raw(umin, span) + (in.addr - umin);
-      for (std::uint64_t i = 0; i < vl_; ++i) {
-        std::memcpy(buf + i * kW, first + static_cast<std::int64_t>(i) * stride,
-                    kW);
-      }
-      vrf_.write_stream(in.vd, vl_, kW, buf);
-    } else {
-      // Ascending element order keeps the architectural overlap semantics
-      // (stride 0 or |stride| < ew: the later element wins).
-      vrf_.read_stream(in.vd, vl_, kW, buf);
-      std::uint8_t* first = mem_.raw(umin, span) + (in.addr - umin);
-      for (std::uint64_t i = 0; i < vl_; ++i) {
-        std::memcpy(first + static_cast<std::int64_t>(i) * stride, buf + i * kW,
-                    kW);
+    // 4. Fixed-width copies through the vd stream. A load merges into vd
+    // (inactive elements keep their bits); a store writes in ascending
+    // element order, so where addresses overlap the later element wins.
+    std::uint8_t* ram = mem_.raw(0, size);
+    scratch_.a.resize(n * kW);
+    std::uint8_t* d = scratch_.a.data();
+    if (in.masked || spec.writes_mem) vrf_.read_stream(in.vd, n, kW, d);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      if (m != nullptr && m[i] == 0) continue;
+      if (spec.reads_mem) {
+        std::memcpy(d + i * kW, ram + addr[i], kW);
+      } else {
+        std::memcpy(ram + addr[i], d + i * kW, kW);
       }
     }
-  };
-  switch (ew) {
-    case 1: stream.template operator()<1>(); break;
-    case 2: stream.template operator()<2>(); break;
-    case 4: stream.template operator()<4>(); break;
-    case 8: stream.template operator()<8>(); break;
-    default: return false;
-  }
-  return true;
-}
-
-bool FunctionalEngine::exec_memory_bulk_masked_unit(const VInstr& in) {
-  const unsigned ew = ew_bytes();
-  const std::uint64_t total = vl_ * ew;
-  // One bounds check for the whole range. Any out-of-bounds byte falls back
-  // to the per-element loop, which reports the exact faulting active element
-  // (a range whose out-of-bounds elements are all inactive also falls back —
-  // that only costs speed, never correctness).
-  if (in.addr > mem_.size() || total > mem_.size() - in.addr) return false;
-  const bool is_load = in.op == Op::kVle;
-  buf_mem_.resize(total);
-  std::uint8_t* buf = buf_mem_.data();
-  std::uint8_t* ram = mem_.raw(in.addr, total);
-
-  // v0 is read once, as a stream, before vd is touched.
-  scratch_.v0.resize(vl_);
-  vrf_.read_mask_stream(0, vl_, scratch_.v0.data());
-  const std::uint8_t* v0 = scratch_.v0.data();
-
-  // Fixed-width copies so the compiler lowers each to a plain load/store.
-  const auto stream = [&]<unsigned kW>() {
-    // Both directions route through the current vd stream: a masked load
-    // merges into vd (inactive elements keep their old value), and a masked
-    // store sources vd and touches only the active elements of memory.
-    vrf_.read_stream(in.vd, vl_, kW, buf);
-    if (is_load) {
-      for (std::uint64_t i = 0; i < vl_; ++i) {
-        if (v0[i] != 0) std::memcpy(buf + i * kW, ram + i * kW, kW);
-      }
-      vrf_.write_stream(in.vd, vl_, kW, buf);
-    } else {
-      for (std::uint64_t i = 0; i < vl_; ++i) {
-        if (v0[i] != 0) std::memcpy(ram + i * kW, buf + i * kW, kW);
-      }
-    }
-  };
-  switch (ew) {
-    case 1: stream.template operator()<1>(); break;
-    case 2: stream.template operator()<2>(); break;
-    case 4: stream.template operator()<4>(); break;
-    case 8: stream.template operator()<8>(); break;
-    default: return false;
-  }
-  return true;
+    if (spec.reads_mem) vrf_.write_stream(in.vd, n, kW, d);
+  });
 }
 
 }  // namespace araxl

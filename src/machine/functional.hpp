@@ -19,7 +19,15 @@
 // writeback; an FP result that is NaN is the canonical NaN, as in RISC-V.
 // A per-element loop over the same rows is the reference that tests
 // compare the stream executor against; nothing selects it at run time.
-// Memory, widening, gather and mask-population ops have their own paths.
+//
+// All six memory ops (unit-stride, strided and indexed loads and stores, at
+// every SEW, masked or not) run through one memory executor. It computes
+// the element addresses from the op's MemMode, reads v0 once, checks every
+// active address before it moves a byte, then copies fixed-width elements
+// through the vd stream. A contiguous unmasked access is a single stream
+// between memory and the VRF. A per-element loop is its reference, again
+// reachable only through exec_reference.
+// Widening, gather and mask-population ops have their own paths.
 #ifndef ARAXL_MACHINE_FUNCTIONAL_HPP
 #define ARAXL_MACHINE_FUNCTIONAL_HPP
 
@@ -33,11 +41,13 @@
 
 namespace araxl {
 
-/// Scratch of the op-table executor (capacity persists across instructions).
+/// Scratch of the op-table and memory executors (capacity persists across
+/// instructions).
 struct OpScratch {
-  std::vector<std::uint8_t> a, b;  ///< staged vs2 / vs1
+  std::vector<std::uint8_t> a, b;  ///< staged vs2 / vs1; memory: vd / indices
   std::vector<std::uint8_t> v0;    ///< v0 bits, one byte each
   std::vector<std::uint8_t> bits;  ///< mask-destination bits, one byte each
+  std::vector<std::uint64_t> addr;  ///< element addresses of a memory op
 };
 
 class FunctionalEngine {
@@ -46,8 +56,8 @@ class FunctionalEngine {
 
   /// Executes one vector instruction (including vsetvli) architecturally.
   void exec(const VInstr& in);
-  /// exec(), except that an op-table op runs through the per-element
-  /// reference loop. For tests that check the stream executor.
+  /// exec(), except that an op-table or memory op runs through its
+  /// per-element reference loop. For tests that check the executors.
   void exec_reference(const VInstr& in);
   /// Whether `op` is executed from the op table.
   [[nodiscard]] static bool in_op_table(Op op);
@@ -68,18 +78,9 @@ class FunctionalEngine {
 
   /// Runs `in` from the op table; false when the op has no row.
   bool exec_row(const VInstr& in, bool reference_loop);
+  /// All memory ops: addresses, v0, bounds of every active element, then
+  /// fixed-width copies (see the header comment).
   void exec_memory(const VInstr& in);
-  /// Bulk unmasked constant-stride path (vlse/vsse): one bounds check for
-  /// the whole transfer, a tight fixed-width gather/scatter loop through
-  /// scratch, and a single VRF stream. Returns false when the shape needs
-  /// the per-element fallback.
-  bool exec_memory_bulk_strided(const VInstr& in);
-  /// Bulk *masked* unit-stride path (vle/vse with a mask): one bounds
-  /// check for the whole range, the vd stream read once (load merge keeps
-  /// inactive elements), then fixed-width copies for the active elements
-  /// only. Returns false when any byte of the range is out of bounds —
-  /// the per-element fallback then reports the exact faulting element.
-  bool exec_memory_bulk_masked_unit(const VInstr& in);
   void exec_widening(const VInstr& in);
   void exec_gather(const VInstr& in);
   void exec_mask_population(const VInstr& in);
@@ -94,8 +95,6 @@ class FunctionalEngine {
   std::int64_t scalar_iacc_ = 0;
 
   OpScratch scratch_;
-  // Scratch for the bulk memory paths.
-  std::vector<std::uint8_t> buf_mem_;
 };
 
 }  // namespace araxl

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "cluster/sequencer.hpp"
-#include "cluster/vlsu.hpp"
 #include "common/bits.hpp"
 #include "common/contracts.hpp"
 #include "isa/disasm.hpp"
@@ -13,29 +12,25 @@ namespace araxl {
 
 bool mem_range(const VInstr& in, std::uint64_t vl, unsigned ew, std::uint64_t* lo,
                std::uint64_t* hi) {
-  switch (in.op) {
-    case Op::kVle:
-    case Op::kVse:
-    case Op::kVlse:
-    case Op::kVsse: {
-      if (vl == 0) {  // zero-element ops touch no memory at all
-        *lo = in.addr;
-        *hi = in.addr;
-        return true;
-      }
-      if (in.op == Op::kVle || in.op == Op::kVse) {
-        *lo = in.addr;
-        *hi = in.addr + vl * ew;
-        return true;
-      }
-      const std::int64_t span = in.stride * static_cast<std::int64_t>(vl - 1);
-      const std::int64_t a = static_cast<std::int64_t>(in.addr);
-      *lo = static_cast<std::uint64_t>(std::min(a, a + span));
-      *hi = static_cast<std::uint64_t>(std::max(a, a + span)) + ew;
-      return true;
-    }
-    default: return false;  // indexed: unknown footprint
+  const MemMode mode = op_spec(in.op).mem;
+  if (mode != MemMode::kUnit && mode != MemMode::kStrided) {
+    return false;  // indexed: unknown footprint
   }
+  if (vl == 0) {  // zero-element ops touch no memory at all
+    *lo = in.addr;
+    *hi = in.addr;
+    return true;
+  }
+  if (mode == MemMode::kUnit) {
+    *lo = in.addr;
+    *hi = in.addr + vl * ew;
+    return true;
+  }
+  const std::int64_t span = in.stride * static_cast<std::int64_t>(vl - 1);
+  const std::int64_t a = static_cast<std::int64_t>(in.addr);
+  *lo = static_cast<std::uint64_t>(std::min(a, a + span));
+  *hi = static_cast<std::uint64_t>(std::max(a, a + span)) + ew;
+  return true;
 }
 
 namespace {
@@ -280,7 +275,7 @@ void TimingEngine::advance_arith(Cycle t, Inflight& instr) {
 
 void TimingEngine::advance_load(Cycle t, Inflight& instr) {
   if (t < instr.start_at) return;
-  if (elementwise_mem_op(instr.in.op)) {
+  if (instr.spec->mem != MemMode::kUnit) {
     advance_arith(t, instr);  // element-granular beats
     return;
   }
@@ -306,7 +301,7 @@ void TimingEngine::advance_load(Cycle t, Inflight& instr) {
 
 void TimingEngine::advance_store(Cycle t, Inflight& instr) {
   if (t < instr.start_at) return;
-  if (elementwise_mem_op(instr.in.op)) {
+  if (instr.spec->mem != MemMode::kUnit) {
     advance_arith(t, instr);
     return;
   }
@@ -437,7 +432,7 @@ void TimingEngine::retire(Cycle t) {
 
 bool TimingEngine::mem_conflict(const Pending& p) const {
   const OpSpec& spec = op_spec(p.in.op);
-  if (!spec.reads_mem && !spec.writes_mem) return false;
+  if (spec.mem == MemMode::kNone) return false;
   std::uint64_t lo = 0;
   std::uint64_t hi = 0;
   const bool bounded = mem_range(p.in, p.vl, p.ew, &lo, &hi);
@@ -531,13 +526,13 @@ void TimingEngine::tick_dispatch(Cycle t) {
     case Unit::kLoad:
       instr.start_at = t + glsu_.load_latency();
       instr.bytes_total = p.vl * p.ew;
-      if (!elementwise_mem_op(p.in.op)) instr.head_skew = glsu_.head_skew(p.in.addr);
+      if (spec.mem == MemMode::kUnit) instr.head_skew = glsu_.head_skew(p.in.addr);
       stats_.mem_read_bytes += instr.bytes_total;
       break;
     case Unit::kStore:
       instr.start_at = t + glsu_.store_latency();
       instr.bytes_total = p.vl * p.ew;
-      if (!elementwise_mem_op(p.in.op)) instr.head_skew = glsu_.head_skew(p.in.addr);
+      if (spec.mem == MemMode::kUnit) instr.head_skew = glsu_.head_skew(p.in.addr);
       stats_.mem_write_bytes += instr.bytes_total;
       break;
     case Unit::kSldu:

@@ -30,7 +30,6 @@
 // by construction.
 #include <algorithm>
 
-#include "cluster/vlsu.hpp"
 #include "common/contracts.hpp"
 #include "isa/disasm.hpp"
 #include "machine/timing.hpp"
@@ -227,11 +226,11 @@ void TimingEngine::advance_span(Inflight& instr, Cycle from, Cycle to) {
   }
   switch (instr.unit) {
     case Unit::kLoad:
-      if (elementwise_mem_op(instr.in.op)) advance_span_arith(instr, from, to);
+      if (instr.spec->mem != MemMode::kUnit) advance_span_arith(instr, from, to);
       else advance_span_load(instr, from, to);
       break;
     case Unit::kStore:
-      if (elementwise_mem_op(instr.in.op)) advance_span_arith(instr, from, to);
+      if (instr.spec->mem != MemMode::kUnit) advance_span_arith(instr, from, to);
       else advance_span_store(instr, from, to);
       break;
     default: advance_span_arith(instr, from, to); break;
@@ -756,27 +755,6 @@ std::uint64_t rel_u64(std::uint64_t x, std::uint64_t base) {
                                     static_cast<std::int64_t>(base));
 }
 
-/// True for memory ops whose [lo, hi) footprint the dispatcher computes
-/// from the instruction's address (the ops the batcher's address checks
-/// must cover).
-bool bounded_mem_op(Op op) {
-  return op == Op::kVle || op == Op::kVse || op == Op::kVlse || op == Op::kVsse;
-}
-
-/// Which memory unit queue an op occupies (kNone for non-memory ops);
-/// the dispatch-time conflict test scans the opposite queue.
-Unit mem_unit(Op op) {
-  switch (op) {
-    case Op::kVle:
-    case Op::kVlse:
-    case Op::kVluxei: return Unit::kLoad;
-    case Op::kVse:
-    case Op::kVsse:
-    case Op::kVsuxei: return Unit::kStore;
-    default: return Unit::kNone;
-  }
-}
-
 }  // namespace
 
 void TimingEngine::prepare_loop_batching() {
@@ -831,8 +809,7 @@ void TimingEngine::prepare_loop_batching() {
   const auto phase_repeats = [&](const LoopRegion& r, std::size_t lag) {
     for (std::size_t i = r.start + lag; i < r.end; ++i) {
       const auto* v = std::get_if<VInstr>(&prog_->ops[i]);
-      if (v == nullptr || op_vl[i] == 0 || !bounded_mem_op(v->op) ||
-          elementwise_mem_op(v->op)) {
+      if (v == nullptr || op_vl[i] == 0 || op_spec(v->op).mem != MemMode::kUnit) {
         continue;
       }
       if (v->addr % bus != std::get<VInstr>(prog_->ops[i - lag]).addr % bus) {
@@ -855,7 +832,7 @@ void TimingEngine::prepare_loop_batching() {
       std::uint64_t min_ew = bus;
       for (std::size_t i = r.start; i < r.end; ++i) {
         const auto* v = std::get_if<VInstr>(&prog_->ops[i]);
-        if (v != nullptr && bounded_mem_op(v->op) && !elementwise_mem_op(v->op)) {
+        if (v != nullptr && op_spec(v->op).mem == MemMode::kUnit) {
           min_ew = std::min<std::uint64_t>(min_ew, op_ew[i]);
         }
       }
@@ -888,15 +865,16 @@ void TimingEngine::prepare_loop_batching() {
     for (std::size_t i = r.start; i < r.end; ++i) {
       const auto* v = std::get_if<VInstr>(&prog_->ops[i]);
       if (v == nullptr || op_vl[i] == 0) continue;
-      const Unit u = mem_unit(v->op);
-      if (u == Unit::kNone) continue;
-      if (bounded_mem_op(v->op) && i >= r.start + p) {
+      const OpSpec& spec = op_spec(v->op);
+      if (spec.mem == MemMode::kNone) continue;
+      const Unit u = spec.unit;
+      if (spec.mem != MemMode::kIndexed && i >= r.start + p) {
         const std::size_t q = (i - r.start) / p;
         std::uint8_t f = 0;
         const auto& prev = std::get<VInstr>(prog_->ops[i - p]);
         // (a) head_skew repeats only if the bus phase does (unit-stride
         // ops; strided accesses are elementwise and never read head_skew).
-        if (!elementwise_mem_op(v->op) && v->addr % bus != prev.addr % bus) {
+        if (spec.mem == MemMode::kUnit && v->addr % bus != prev.addr % bus) {
           f = 3;
         }
         // (b) every candidate partner pair's overlap outcome must repeat.
@@ -906,7 +884,7 @@ void TimingEngine::prepare_loop_batching() {
             f |= 1;  // counterpart precedes the region: conservative barrier
             continue;
           }
-          if (!bounded_mem_op(std::get<VInstr>(prog_->ops[j]).op)) {
+          if (op_spec(std::get<VInstr>(prog_->ops[j]).op).mem == MemMode::kIndexed) {
             continue;  // indexed: conservative conflict both times
           }
           if (overlaps(i, j) != overlaps(i - p, j - p)) f = 3;

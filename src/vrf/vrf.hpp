@@ -177,7 +177,7 @@ class Vrf {
 
   [[nodiscard]] std::size_t chunk_index(unsigned cluster, unsigned lane,
                                         unsigned vreg, std::uint64_t offset) const {
-    debug_check(cluster < map_.topology().clusters &&
+    debug_check(cluster < map_.topology().total_clusters() &&
                     lane < map_.topology().lanes && vreg < kNumVregs &&
                     offset < map_.slice_bytes(),
                 "VRF index out of range");

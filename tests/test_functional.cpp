@@ -483,7 +483,7 @@ TEST(Memory, NegativeStride) {
 
 TEST(Memory, StrideZeroLoadBroadcastsAndStoreLastWins) {
   // stride 0 is legal RVV: every element reads (or writes) the same
-  // address. The bulk strided path must preserve the ascending-element
+  // address. The memory executor must preserve the ascending-element
   // order so the *last* element wins the store.
   Machine m = small_machine();
   const std::uint64_t vl = 40;
@@ -527,9 +527,9 @@ TEST(Memory, OverlappingStridedStore) {
 }
 
 TEST(Memory, BulkStridedMatchesPerElementPath) {
-  // Differential guard for the bulk constant-stride fast path: the same
-  // strided program run masked with an all-true v0 (which takes the
-  // per-element fallback) must leave identical architectural state.
+  // Differential guard for the memory executor's mask handling: the same
+  // strided program run masked with an all-true v0 must leave the state
+  // the unmasked run leaves.
   const std::uint64_t vl = 60;
   const std::int64_t stride = 24;
   const auto build = [&](bool masked) {
@@ -565,9 +565,8 @@ TEST(Memory, BulkStridedMatchesPerElementPath) {
 }
 
 TEST(Memory, StridedOutOfBoundsIsRejected) {
-  // A stride that escapes memory must fail the same way the per-element
-  // path always has (the bulk path falls back rather than mapping a bad
-  // window).
+  // A stride that escapes memory must fail: the memory executor checks
+  // every active address before it moves a byte.
   Machine m = small_machine();
   ProgramBuilder pb(m.config().effective_vlen(), "oob");
   pb.vsetvli(16, Sew::k64, kLmul1);

@@ -203,7 +203,7 @@ INSTANTIATE_TEST_SUITE_P(AllWidths, NarrowMem,
                          });
 
 // Both mask layouts: AraXL keeps v0 lane-local, Ara2 in the standard
-// layout, and the bulk path reads v0 through the layout's stream walk.
+// layout, and the memory executor reads v0 through the layout's stream walk.
 class BulkMaskedMem
     : public testing::TestWithParam<std::tuple<Sew, MaskLayout>> {
  protected:
@@ -216,10 +216,9 @@ class BulkMaskedMem
 };
 
 TEST_P(BulkMaskedMem, LoadMergesInactiveElements) {
-  // Masked unit-stride load through the bulk path (whole range in bounds):
-  // active elements come from memory, inactive ones keep the destination's
-  // prior (sentinel) contents — the load-merge the per-element path
-  // implements one element at a time.
+  // Masked unit-stride load (whole range in bounds): active elements come
+  // from memory, inactive ones keep the destination's prior (sentinel)
+  // contents — the load-merge the memory executor does on the vd stream.
   const unsigned ew = sew_bytes(sew());
   Machine m = machine();
   const std::uint64_t vl = 171;  // odd length: tail not mask-word aligned
@@ -294,9 +293,9 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(BulkMaskedMemEdge, OobTailInactiveFallsBackToPerElement) {
-  // The whole-range bounds check fails (the tail runs past the end of
-  // memory), so the bulk path must decline and the per-element fallback —
-  // which never touches inactive addresses — must complete the access.
+  // The tail runs past the end of memory, but only its inactive elements
+  // do: the memory executor bounds-checks active addresses alone, so the
+  // access completes.
   Machine m = small_machine();
   const std::uint64_t vl = 100;
   const std::uint64_t active_n = 40;

@@ -1,14 +1,14 @@
 // Unit tests: component models — REQI, GLSU, RINGI, lane group, sequencer
-// rules, the VLSU access predicate, CVA6 cost model, machine configuration.
+// rules, memory addressing modes, CVA6 cost model, machine configuration.
 #include <gtest/gtest.h>
 
 #include "cluster/sequencer.hpp"
-#include "cluster/vlsu.hpp"
 #include "common/contracts.hpp"
 #include "interconnect/glsu.hpp"
 #include "interconnect/reqi.hpp"
 #include "interconnect/ring.hpp"
 #include "lane/lane_group.hpp"
+#include "machine/timing.hpp"
 #include "scalar/cva6.hpp"
 
 namespace araxl {
@@ -354,11 +354,37 @@ TEST(SequencerRules, SlideOffsets) {
   EXPECT_EQ(slide_offset(in), -7);
 }
 
-TEST(Vlsu, ElementwisePredicate) {
-  EXPECT_FALSE(elementwise_mem_op(Op::kVle));
-  EXPECT_FALSE(elementwise_mem_op(Op::kVse));
-  EXPECT_TRUE(elementwise_mem_op(Op::kVlse));
-  EXPECT_TRUE(elementwise_mem_op(Op::kVluxei));
+TEST(OpSpecMem, EveryMemoryOpHasExactlyOneMode) {
+  // Strided and indexed accesses are the element-granular ones ("supported,
+  // albeit at lower throughput", paper §III-A); OpSpec::mem names the mode
+  // once for the timing engines, the batcher, disasm and the executor.
+  EXPECT_EQ(op_spec(Op::kVle).mem, MemMode::kUnit);
+  EXPECT_EQ(op_spec(Op::kVse).mem, MemMode::kUnit);
+  EXPECT_EQ(op_spec(Op::kVlse).mem, MemMode::kStrided);
+  EXPECT_EQ(op_spec(Op::kVsse).mem, MemMode::kStrided);
+  EXPECT_EQ(op_spec(Op::kVluxei).mem, MemMode::kIndexed);
+  EXPECT_EQ(op_spec(Op::kVsuxei).mem, MemMode::kIndexed);
+  int memory_ops = 0;
+  for (std::size_t i = 0; i < kNumOps; ++i) {
+    const auto op = static_cast<Op>(i);
+    const OpSpec& s = op_spec(op);
+    const bool memory = s.reads_mem || s.writes_mem;
+    EXPECT_EQ(s.mem != MemMode::kNone, memory) << s.mnemonic;
+    if (!memory) continue;
+    ++memory_ops;
+    EXPECT_NE(s.reads_mem, s.writes_mem) << s.mnemonic;
+    EXPECT_EQ(s.unit, s.reads_mem ? Unit::kLoad : Unit::kStore) << s.mnemonic;
+    // Only an indexed op's footprint depends on register contents.
+    VInstr in;
+    in.op = op;
+    in.addr = 0x1000;
+    in.stride = -16;
+    std::uint64_t lo = 0;
+    std::uint64_t hi = 0;
+    EXPECT_EQ(mem_range(in, 4, 8, &lo, &hi), s.mem != MemMode::kIndexed)
+        << s.mnemonic;
+  }
+  EXPECT_EQ(memory_ops, 6);
 }
 
 TEST(Cva6, ScalarCosts) {
