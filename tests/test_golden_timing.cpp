@@ -7,6 +7,13 @@
 // re-run the figure benches), never an accident.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
+#include <string>
+
+#include "driver/job.hpp"
+#include "driver/registry.hpp"
+#include "driver/spec.hpp"
 #include "kernels/common.hpp"
 #include "machine/machine.hpp"
 
@@ -85,6 +92,72 @@ TEST(GoldenTiming, Fdotproduct64LLongVector) {
   auto k = make_kernel("fdotproduct");
   const Program p = k->build(m, 512);
   EXPECT_EQ(m.run(p).cycles, 303u);
+}
+
+// One line per RunStats word: "<config> <kernel> <word> <value>".
+std::string golden_stats_lines(const std::string& config, const std::string& kernel,
+                               const RunStats& s) {
+  std::string out;
+  for (const StatField& f : kRunStatsFields) {
+    const auto words = f.words(s);
+    for (std::size_t i = 0; i < f.count; ++i) {
+      out += config + " " + kernel + " ";
+      out += f.key;
+      if (f.is_array()) {
+        out += '.';
+        out += f.elem_name(i);
+      }
+      out += ' ';
+      out += std::to_string(words[i]);
+      out += '\n';
+    }
+  }
+  return out;
+}
+
+TEST(GoldenRunStats, EveryWordOfEveryKernel) {
+  // Pins every kRunStatsFields word, provenance included, of every registry
+  // kernel on flat Ara2 and AraXL machines and a hierarchical one
+  // (tests/golden/run_stats.txt). The cycle-stepped oracle shares the
+  // per-cycle step and the stall attribution with the event engine, so
+  // --oracle-check cannot catch a slip in that shared code; these committed
+  // values can. The oracle must also reproduce every measurement word and
+  // count one wakeup per cycle. On a mismatch the actual lines are written
+  // next to the test's temp files for diffing.
+  constexpr std::uint64_t kBpl = 64;
+  constexpr std::uint64_t kSeed = 11;
+  const auto& registry = driver::KernelRegistry::instance();
+  std::string actual;
+  for (const char* spec : {"ara2:8", "araxl:16", "araxl:64", "araxl:2x2x4"}) {
+    const driver::ConfigPoint point = driver::parse_config_spec(spec);
+    for (const std::string& name : registry.names()) {
+      Machine m(point.cfg);
+      auto kernel = registry.make(name);
+      kernel->seed_inputs(kSeed);
+      const Program prog = kernel->build(m, kBpl);
+      const RunStats stats = m.run(prog);
+      actual += golden_stats_lines(point.label, name, stats);
+
+      MachineConfig ocfg = point.cfg;
+      ocfg.timing_mode = TimingMode::kCycleStepped;
+      Machine oracle(ocfg);
+      (void)kernel->build(oracle, kBpl);
+      const RunStats ostats = oracle.run(prog);
+      EXPECT_TRUE(ostats == stats) << spec << " " << name;
+      EXPECT_EQ(ostats.wakeups_total, ostats.cycles) << spec << " " << name;
+    }
+  }
+  const std::string path =
+      std::string(ARAXL_SOURCE_DIR) + "/tests/golden/run_stats.txt";
+  std::ifstream f(path, std::ios::binary);
+  const std::string golden((std::istreambuf_iterator<char>(f)),
+                           std::istreambuf_iterator<char>());
+  if (actual != golden) {
+    const std::string out = testing::TempDir() + "run_stats.txt";
+    std::ofstream(out, std::ios::binary) << actual;
+    ADD_FAILURE() << path << " differs from this build's RunStats; actual in "
+                  << out;
+  }
 }
 
 }  // namespace
