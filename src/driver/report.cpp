@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <optional>
 
 #include "common/contracts.hpp"
 #include "ppa/projection.hpp"
@@ -42,8 +43,22 @@ void append_config_json(JsonWriter& w, const Job& job) {
   w.close();
 }
 
+/// The projector of the last config seen. Building one evaluates the area
+/// and frequency models, and a sweep lists its records config-major, so a
+/// render builds one per config instead of one per record.
+class ProjectorCache {
+ public:
+  const PpaProjector& at(const MachineConfig& cfg) {
+    if (!proj_ || !(proj_->config() == cfg)) proj_.emplace(cfg);
+    return *proj_;
+  }
+
+ private:
+  std::optional<PpaProjector> proj_;
+};
+
 void append_result_json(std::string& out, const JobResult& r,
-                        const ReportOptions& opts) {
+                        const ReportOptions& opts, ProjectorCache& ppa) {
   JsonWriter w(out);
   w.open();
   w.key("index").u64(r.job.index);
@@ -74,7 +89,7 @@ void append_result_json(std::string& out, const JobResult& r,
   w.key("fpu_util").num(r.stats.fpu_util());
   w.key("flop_per_cycle").num(r.stats.flop_per_cycle());
   w.close();
-  const Ppa p = PpaProjector(r.job.cfg)(r.stats);
+  const Ppa p = ppa.at(r.job.cfg)(r.stats);
   w.key("ppa").open();
   w.key("freq_ghz").num(p.freq_ghz);
   w.key("area_mm2").num(p.area_mm2);
@@ -96,7 +111,7 @@ void append_result_json(std::string& out, const JobResult& r,
 }
 
 void append_csv_row(std::string& out, const JobResult& r,
-                    const ReportOptions& opts) {
+                    const ReportOptions& opts, ProjectorCache& ppa) {
   const MachineConfig& c = r.job.cfg;
   store::CsvWriter w(out);
   w.u64(r.job.index).text(r.job.config_label).text(r.job.kernel);
@@ -113,7 +128,7 @@ void append_csv_row(std::string& out, const JobResult& r,
   w.u64(c.total_lanes()).u64(c.effective_vlen());
   w.text(r.ok ? "1" : "0").text(error_kind_name(r.error_kind));
   if (r.ok) {
-    const Ppa p = PpaProjector(c)(r.stats);
+    const Ppa p = ppa.at(c)(r.stats);
     w.u64(r.stats.cycles).u64(r.stats.flops);
     w.num(r.stats.fpu_util()).num(r.stats.flop_per_cycle());
     w.num(p.freq_ghz).num(p.area_mm2).num(p.power_w).num(p.gflops);
@@ -137,15 +152,17 @@ void append_csv_row(std::string& out, const JobResult& r,
 
 std::string json_record(const JobResult& r, const ReportOptions& opts) {
   std::string out;
-  append_result_json(out, r, opts);
+  ProjectorCache ppa;
+  append_result_json(out, r, opts, ppa);
   return out;
 }
 
 std::string to_json(const std::vector<JobResult>& results,
                     const ReportOptions& opts) {
   std::string out = "{\"results\":[\n";
+  ProjectorCache ppa;
   for (std::size_t i = 0; i < results.size(); ++i) {
-    append_result_json(out, results[i], opts);
+    append_result_json(out, results[i], opts, ppa);
     if (i + 1 != results.size()) out += ",";
     out += "\n";
   }
@@ -172,14 +189,16 @@ std::string csv_header() {
 
 std::string csv_row(const JobResult& r, const ReportOptions& opts) {
   std::string out;
-  append_csv_row(out, r, opts);
+  ProjectorCache ppa;
+  append_csv_row(out, r, opts, ppa);
   return out;
 }
 
 std::string to_csv(const std::vector<JobResult>& results,
                    const ReportOptions& opts) {
   std::string out = csv_header();
-  for (const JobResult& r : results) append_csv_row(out, r, opts);
+  ProjectorCache ppa;
+  for (const JobResult& r : results) append_csv_row(out, r, opts, ppa);
   return out;
 }
 

@@ -179,17 +179,16 @@ JobResult execute(const Job& job, const RunnerOptions& opts,
 
   if (opts.check_oracle) {
     const std::uint64_t t_pre = mx != nullptr ? steady_ns() : 0;
-    // Fresh machine + kernel: build() writes inputs into machine memory,
-    // so the oracle run needs its own architectural state. The oracle run
-    // is deliberately unmetered — its engine counters would double-count
-    // every unit cycle against the run under test.
+    // The oracle replays the run's own program on a fresh machine holding
+    // the same initial memory: the two configs differ only in timing_mode,
+    // which no builder reads. The oracle run is deliberately unmetered —
+    // its engine counters would double-count every unit cycle against the
+    // run under test.
     MachineConfig oracle_cfg = cfg;
     oracle_cfg.timing_mode = TimingMode::kCycleStepped;
     Machine oracle(oracle_cfg);
-    auto oracle_kernel = registry.make(job.kernel);
-    oracle_kernel->seed_inputs(job.seed);
-    const Program oracle_prog = oracle_kernel->build(oracle, job.bytes_per_lane);
-    const RunStats oracle_stats = oracle.run(oracle_prog, nullptr, control);
+    kernel->load_inputs(oracle);
+    const RunStats oracle_stats = oracle.run(prog, nullptr, control);
     if (mx != nullptr) {
       mx->counter("runner.phase.oracle_ns")->add(steady_ns() - t_pre);
     }

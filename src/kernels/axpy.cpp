@@ -22,6 +22,11 @@ class AxpyKernel final : public Kernel {
   [[nodiscard]] double max_perf_factor() const override { return 1.0; }
   [[nodiscard]] Lmul lmul(std::uint64_t) const override { return kLmul4; }
 
+  void load_inputs(Machine& m) const override {
+    m.mem().store_doubles(x_addr_, x_);
+    m.mem().store_doubles(y_addr_, y_);
+  }
+
   Program build(Machine& m, std::uint64_t bytes_per_lane) override {
     const MachineConfig& cfg = m.config();
     n_ = elems_for_bytes_per_lane(cfg, bytes_per_lane);
@@ -31,8 +36,7 @@ class AxpyKernel final : public Kernel {
     MemLayout layout;
     x_addr_ = layout.alloc(n_ * 8);
     y_addr_ = layout.alloc(n_ * 8);
-    m.mem().store_doubles(x_addr_, x_);
-    m.mem().store_doubles(y_addr_, y_);
+    load_inputs(m);
 
     // Same shape as the bench's build_axpy: a fixed register pair per
     // iteration (no double-buffering) keeps the op signature periodic.

@@ -45,6 +45,13 @@ class Kernel {
   /// different machines/sizes; state for verify() refers to the last build.
   virtual Program build(Machine& m, std::uint64_t bytes_per_lane) = 0;
 
+  /// Writes the last build's inputs into `m.mem()` again, at the same
+  /// addresses: with the built program, a second machine of the same shape
+  /// (the cycle-stepped oracle) starts from the same architectural state
+  /// without another build. build() calls it; a kernel without memory
+  /// inputs keeps this no-op.
+  virtual void load_inputs(Machine& m) const { (void)m; }
+
   /// Useful DP-FLOP of the last built problem (the paper's accounting).
   [[nodiscard]] virtual std::uint64_t useful_flops() const = 0;
 

@@ -25,6 +25,10 @@ class Fconv2dKernel final : public Kernel {
   [[nodiscard]] double max_perf_factor() const override { return 2.0; }
   [[nodiscard]] Lmul lmul(std::uint64_t) const override { return kLmul2; }
 
+  void load_inputs(Machine& m) const override {
+    m.mem().store_doubles(in_addr_, in_);
+  }
+
   Program build(Machine& m, std::uint64_t bytes_per_lane) override {
     const MachineConfig& cfg = m.config();
     n_ = elems_for_bytes_per_lane(cfg, bytes_per_lane);
@@ -36,7 +40,7 @@ class Fconv2dKernel final : public Kernel {
     MemLayout layout;
     in_addr_ = layout.alloc(in_.size() * 8);
     out_addr_ = layout.alloc(std::uint64_t{kRows} * n_ * 8);
-    m.mem().store_doubles(in_addr_, in_);
+    load_inputs(m);
 
     ProgramBuilder pb(cfg.effective_vlen(), "fconv2d");
     // Register map (LMUL=2 groups): row buffers v4/v6 alternate, slide

@@ -19,6 +19,11 @@ class FdotproductKernel final : public Kernel {
   [[nodiscard]] double max_perf_factor() const override { return 1.0; }
   [[nodiscard]] Lmul lmul(std::uint64_t) const override { return kLmul8; }
 
+  void load_inputs(Machine& m) const override {
+    m.mem().store_doubles(a_addr_, a_);
+    m.mem().store_doubles(b_addr_, b_);
+  }
+
   Program build(Machine& m, std::uint64_t bytes_per_lane) override {
     const MachineConfig& cfg = m.config();
     n_ = elems_for_bytes_per_lane(cfg, bytes_per_lane);
@@ -30,8 +35,7 @@ class FdotproductKernel final : public Kernel {
     a_addr_ = layout.alloc(n_ * 8);
     b_addr_ = layout.alloc(n_ * 8);
     res_addr_ = layout.alloc(8);
-    m.mem().store_doubles(a_addr_, a_);
-    m.mem().store_doubles(b_addr_, b_);
+    load_inputs(m);
 
     ProgramBuilder pb(cfg.effective_vlen(), "fdotproduct");
     // LMUL=8 register groups: a -> v0, b -> v8, accumulator -> v16; v24

@@ -71,6 +71,10 @@ class FexpKernel final : public Kernel {
   }
   [[nodiscard]] Lmul lmul(std::uint64_t) const override { return kLmul1; }
 
+  void load_inputs(Machine& m) const override {
+    m.mem().store_doubles(x_addr_, x_);
+  }
+
   Program build(Machine& m, std::uint64_t bytes_per_lane) override {
     const MachineConfig& cfg = m.config();
     n_ = elems_for_bytes_per_lane(cfg, bytes_per_lane);
@@ -79,7 +83,7 @@ class FexpKernel final : public Kernel {
     MemLayout layout;
     x_addr_ = layout.alloc(n_ * 8);
     y_addr_ = layout.alloc(n_ * 8);
-    m.mem().store_doubles(x_addr_, x_);
+    load_inputs(m);
 
     ProgramBuilder pb(cfg.effective_vlen(), "exp");
     ExpRegs regs;

@@ -27,6 +27,11 @@ class FmatmulKernel final : public Kernel {
     return kLmul4;
   }
 
+  void load_inputs(Machine& m) const override {
+    m.mem().store_doubles(a_addr_, a_);
+    m.mem().store_doubles(b_addr_, b_);
+  }
+
   Program build(Machine& m, std::uint64_t bytes_per_lane) override {
     const MachineConfig& cfg = m.config();
     n_ = elems_for_bytes_per_lane(cfg, bytes_per_lane);
@@ -41,8 +46,7 @@ class FmatmulKernel final : public Kernel {
     a_addr_ = layout.alloc(a_.size() * 8);
     b_addr_ = layout.alloc(b_.size() * 8);
     c_addr_ = layout.alloc(kM * n_ * 8);
-    m.mem().store_doubles(a_addr_, a_);
-    m.mem().store_doubles(b_addr_, b_);
+    load_inputs(m);
 
     ProgramBuilder pb(cfg.effective_vlen(), "fmatmul");
     const unsigned acc0 = 16;         // accumulators: v16 .. v16+rb*g

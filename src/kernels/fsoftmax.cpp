@@ -30,6 +30,10 @@ class FsoftmaxKernel final : public Kernel {
   }
   [[nodiscard]] Lmul lmul(std::uint64_t) const override { return kLmul1; }
 
+  void load_inputs(Machine& m) const override {
+    m.mem().store_doubles(x_addr_, x_);
+  }
+
   Program build(Machine& m, std::uint64_t bytes_per_lane) override {
     const MachineConfig& cfg = m.config();
     n_ = elems_for_bytes_per_lane(cfg, bytes_per_lane);
@@ -39,7 +43,7 @@ class FsoftmaxKernel final : public Kernel {
     x_addr_ = layout.alloc(x_.size() * 8);
     y_addr_ = layout.alloc(x_.size() * 8);
     scratch_addr_ = layout.alloc(n_ * 8);
-    m.mem().store_doubles(x_addr_, x_);
+    load_inputs(m);
 
     ProgramBuilder pb(cfg.effective_vlen(), "softmax");
     ExpRegs regs;

@@ -27,6 +27,14 @@ class SpmvKernel final : public Kernel {
   }
   [[nodiscard]] Lmul lmul(std::uint64_t) const override { return kLmul4; }
 
+  void load_inputs(Machine& m) const override {
+    m.mem().store_doubles(vals_addr_, vals_);
+    for (std::size_t k = 0; k < cols_idx_.size(); ++k) {
+      m.mem().store<std::uint64_t>(idx_addr_ + k * 8, cols_idx_[k] * 8);
+    }
+    m.mem().store_doubles(x_addr_, x_);
+  }
+
   Program build(Machine& m, std::uint64_t bytes_per_lane) override {
     const MachineConfig& cfg = m.config();
     cols_ = elems_for_bytes_per_lane(cfg, bytes_per_lane);
@@ -57,11 +65,7 @@ class SpmvKernel final : public Kernel {
     idx_addr_ = layout.alloc(cols_idx_.size() * 8);
     x_addr_ = layout.alloc(cols_ * 8);
     y_addr_ = layout.alloc(rows_ * 8);
-    m.mem().store_doubles(vals_addr_, vals_);
-    for (std::size_t k = 0; k < cols_idx_.size(); ++k) {
-      m.mem().store<std::uint64_t>(idx_addr_ + k * 8, cols_idx_[k] * 8);
-    }
-    m.mem().store_doubles(x_addr_, x_);
+    load_inputs(m);
 
     ProgramBuilder pb(cfg.effective_vlen(), "spmv");
     for (std::uint64_t r = 0; r < rows_; ++r) {

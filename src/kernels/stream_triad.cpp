@@ -18,6 +18,11 @@ class StreamTriadKernel final : public Kernel {
   [[nodiscard]] double max_perf_factor() const override { return 1.0; }
   [[nodiscard]] Lmul lmul(std::uint64_t) const override { return kLmul8; }
 
+  void load_inputs(Machine& m) const override {
+    m.mem().store_doubles(b_addr_, b_);
+    m.mem().store_doubles(c_addr_, c_);
+  }
+
   Program build(Machine& m, std::uint64_t bytes_per_lane) override {
     const MachineConfig& cfg = m.config();
     n_ = elems_for_bytes_per_lane(cfg, bytes_per_lane);
@@ -28,8 +33,7 @@ class StreamTriadKernel final : public Kernel {
     a_addr_ = layout.alloc(n_ * 8);
     b_addr_ = layout.alloc(n_ * 8);
     c_addr_ = layout.alloc(n_ * 8);
-    m.mem().store_doubles(b_addr_, b_);
-    m.mem().store_doubles(c_addr_, c_);
+    load_inputs(m);
 
     ProgramBuilder pb(cfg.effective_vlen(), "stream_triad");
     std::uint64_t done = 0;

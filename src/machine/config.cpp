@@ -49,6 +49,7 @@ void MachineConfig::validate() const {
   check(effective_vlen() % (64ull * total_lanes()) == 0,
         "VLEN must give each lane whole 64-bit words");
   check(unit_queue_depth >= 1 && seq_queue_depth >= 1, "queues must be non-empty");
+  check(unit_queue_depth <= kMaxUnitQueueDepth, "unit queues hold at most 16 entries");
   check(div_cycles_per_elem >= 1, "divider occupancy must be at least 1");
 }
 

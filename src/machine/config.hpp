@@ -40,6 +40,10 @@ enum class MachineKind : std::uint8_t { kAraXL, kAra2 };
 /// cycle; keep it for calibration, differential testing, and debugging.
 enum class TimingMode : std::uint8_t { kEventDriven, kCycleStepped };
 
+/// Deepest per-unit instruction queue a config may ask for (unit queues are
+/// stored inline in the timing engine).
+inline constexpr unsigned kMaxUnitQueueDepth = 16;
+
 struct MachineConfig {
   MachineKind kind = MachineKind::kAraXL;
   Topology topo{4, 4};  ///< default: 16-lane AraXL (4 clusters x 4 lanes)
@@ -64,7 +68,7 @@ struct MachineConfig {
   unsigned load_chain_lag = 3;     ///< VRF write -> operand read lag for loads
   unsigned div_cycles_per_elem = 12;  ///< unpipelined divider occupancy
   unsigned unit_start_latency = 4;    ///< dispatch -> first result (arith)
-  unsigned unit_queue_depth = 4;      ///< per-unit instruction queue
+  unsigned unit_queue_depth = 4;      ///< per-unit instruction queue (<= 16)
   unsigned seq_queue_depth = 8;       ///< sequencer instruction queue
   unsigned dcache_load_latency = 3;   ///< CVA6 scalar load (d-cache hit)
   unsigned l2_latency = 12;           ///< L2 access latency (beyond GLSU pipe)
@@ -129,6 +133,8 @@ struct MachineConfig {
 
   /// Baseline Ara2 with `lanes` lanes (2..16 per the Ara2 paper).
   static MachineConfig ara2(unsigned lanes);
+
+  friend bool operator==(const MachineConfig&, const MachineConfig&) = default;
 };
 
 }  // namespace araxl

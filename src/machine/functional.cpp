@@ -379,26 +379,47 @@ void stream_slide(OpArgs& x) {
   // the reference evaluates it per element and the op matrix compares.
   const std::int64_t c = F{}(0, slide_amount(x));
   const std::int64_t count = std::clamp<std::int64_t>(n + c, 0, slide_limit(x));
-  // vs2 is staged: a slide reads elements other than the one it writes.
-  x.buf.a.resize(static_cast<std::uint64_t>(count) * sizeof(T));
-  if (count > 0) x.vrf.read_stream(in.vs2, count, sizeof(T), x.buf.a.data());
-  const auto* src = reinterpret_cast<const T*>(x.buf.a.data());
+  // vs2 elements [0, count) are read in place from the packed mirror when
+  // vs2 is vd itself (the shift below reads each source before it is
+  // overwritten) or misses vd entirely. A partial overlap is staged first.
+  const std::uint64_t epr = x.vrf.mapping().elems_per_reg(sizeof(T));
+  const auto regs = [&](std::int64_t elems) {
+    return static_cast<unsigned>((static_cast<std::uint64_t>(elems) + epr - 1) / epr);
+  };
+  const T* src = nullptr;
+  if (count > 0) {
+    if (in.vs2 == in.vd || in.vs2 + regs(count) <= in.vd ||
+        in.vd + regs(n) <= in.vs2) {
+      src = reinterpret_cast<const T*>(
+          x.vrf.packed_read_span(in.vs2, static_cast<std::uint64_t>(count), sizeof(T)));
+    } else {
+      x.buf.a.resize(static_cast<std::uint64_t>(count) * sizeof(T));
+      x.vrf.read_stream(in.vs2, count, sizeof(T), x.buf.a.data());
+      src = reinterpret_cast<const T*>(x.buf.a.data());
+    }
+  }
   const std::uint8_t* m = in.masked ? read_v0(x) : nullptr;
   T* d = reinterpret_cast<T*>(
       x.vrf.packed_write_span(in.vd, x.n, sizeof(T), x.spec.reads_vd || in.masked));
   const auto active = [&](std::int64_t i) { return m == nullptr || m[i] != 0; };
-  // [lo, hi) reads vs2; below lo the head is vacated, from hi the tail.
+  // [lo, hi) reads vs2; below lo the head is vacated, from hi the tail. The
+  // shift runs first, before the fills can overwrite an in-place source; a
+  // slide down (c > 0) reads ahead of what it writes, a slide up behind.
   const std::int64_t lo = std::clamp<std::int64_t>(-c, 0, n);
   const std::int64_t hi = std::clamp<std::int64_t>(count - c, lo, n);
-  for (std::int64_t i = 0; i < lo; ++i) {
-    if (vf && active(i)) d[i] = s;
-  }
   if (m == nullptr && hi > lo) {
-    std::memcpy(d + lo, src + lo + c, static_cast<std::size_t>(hi - lo) * sizeof(T));
-  } else if (m != nullptr) {
+    std::memmove(d + lo, src + lo + c, static_cast<std::size_t>(hi - lo) * sizeof(T));
+  } else if (m != nullptr && c > 0) {
     for (std::int64_t i = lo; i < hi; ++i) {
       if (m[i] != 0) d[i] = src[i + c];
     }
+  } else if (m != nullptr) {
+    for (std::int64_t i = hi; i-- > lo;) {
+      if (m[i] != 0) d[i] = src[i + c];
+    }
+  }
+  for (std::int64_t i = 0; i < lo; ++i) {
+    if (vf && active(i)) d[i] = s;
   }
   for (std::int64_t i = hi; i < n; ++i) {
     if (active(i)) d[i] = vf ? s : T{0};

@@ -3,6 +3,7 @@
 #ifndef ARAXL_MACHINE_INFLIGHT_HPP
 #define ARAXL_MACHINE_INFLIGHT_HPP
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <deque>
@@ -10,6 +11,7 @@
 
 #include "common/contracts.hpp"
 #include "isa/instr.hpp"
+#include "machine/config.hpp"
 #include "sim/cycle.hpp"
 #include "sim/pipe.hpp"
 #include "sim/stats.hpp"
@@ -66,6 +68,9 @@ struct Inflight {
   std::uint64_t produced = 0;  ///< element results produced so far
   LaggedCounter hist;          ///< produced-count history for consumers
   std::uint64_t rate_acc = 0;  ///< fractional-throughput accumulator (x256)
+  /// Element throughput x256, fixed at dispatch from op, ew, unit and slide
+  /// amount (all serialized in loop-batching snapshots).
+  std::uint64_t rate256 = 0;
 
   // Stall attribution (FPU-unit instructions only). `tape` mirrors every
   // `hist` record without the ring's eviction so the attributor can evaluate
@@ -113,6 +118,7 @@ struct Inflight {
     produced = 0;
     hist.clear();
     rate_acc = 0;
+    rate256 = 0;
     tape.clear();
     stall_acc.fill(0);
     bytes_total = bytes_done = head_skew = 0;
@@ -123,6 +129,34 @@ struct Inflight {
     for (unsigned g = 0; g < 4; ++g) read_base[g] = read_count[g] = 0;
     read_groups = 0;
   }
+};
+
+/// One execution unit's in-order queue of pool slot ids, stored inline: a
+/// queue holds at most unit_queue_depth entries (MachineConfig::validate
+/// caps that at kMaxUnitQueueDepth), and every simulated cycle scans,
+/// sizes and reads the front of every queue.
+class UnitQueue {
+ public:
+  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] std::uint32_t front() const noexcept { return slots_[0]; }
+  [[nodiscard]] const std::uint32_t* begin() const noexcept { return slots_.data(); }
+  [[nodiscard]] const std::uint32_t* end() const noexcept {
+    return slots_.data() + size_;
+  }
+  void push_back(std::uint32_t slot) {
+    debug_check(size_ < slots_.size(), "unit queue deeper than kMaxUnitQueueDepth");
+    slots_[size_++] = slot;
+  }
+  void pop_front() noexcept {
+    std::copy(slots_.begin() + 1, slots_.begin() + size_, slots_.begin());
+    --size_;
+  }
+  void clear() noexcept { size_ = 0; }
+
+ private:
+  std::array<std::uint32_t, kMaxUnitQueueDepth> slots_{};
+  std::size_t size_ = 0;
 };
 
 /// Slab allocator for Inflight records, keyed by dense slot ids.

@@ -1,8 +1,8 @@
 #include "machine/timing.hpp"
 
 #include <algorithm>
+#include <tuple>
 
-#include "cluster/sequencer.hpp"
 #include "common/bits.hpp"
 #include "common/contracts.hpp"
 #include "isa/disasm.hpp"
@@ -10,9 +10,11 @@
 
 namespace araxl {
 
-bool mem_range(const VInstr& in, std::uint64_t vl, unsigned ew, std::uint64_t* lo,
-               std::uint64_t* hi) {
-  const MemMode mode = op_spec(in.op).mem;
+namespace {
+
+/// mem_range for an op whose addressing mode is already known.
+bool mem_range_of(const VInstr& in, MemMode mode, std::uint64_t vl, unsigned ew,
+                  std::uint64_t* lo, std::uint64_t* hi) {
   if (mode != MemMode::kUnit && mode != MemMode::kStrided) {
     return false;  // indexed: unknown footprint
   }
@@ -33,12 +35,15 @@ bool mem_range(const VInstr& in, std::uint64_t vl, unsigned ew, std::uint64_t* l
   return true;
 }
 
-namespace {
-
 /// Unit tick order within a cycle (tick_units walks units in enum order).
 constexpr unsigned unit_order(Unit u) { return static_cast<unsigned>(u); }
 
 }  // namespace
+
+bool mem_range(const VInstr& in, std::uint64_t vl, unsigned ew, std::uint64_t* lo,
+               std::uint64_t* hi) {
+  return mem_range_of(in, op_spec(in.op).mem, vl, ew, lo, hi);
+}
 
 TimingEngine::TimingEngine(const MachineConfig& cfg, FunctionalEngine& fn,
                            InstrTrace* trace, const EngineInstruments* metrics)
@@ -256,7 +261,7 @@ std::uint64_t TimingEngine::head_rate256(const Inflight& instr) const {
 
 void TimingEngine::advance_arith(Cycle t, Inflight& instr) {
   if (t < instr.start_at) return;
-  instr.rate_acc += head_rate256(instr);
+  instr.rate_acc += instr.rate256;
   const std::uint64_t quota = instr.rate_acc >> 8;
   instr.rate_acc &= 0xFF;  // unused whole-element slots are lost, not banked
   if (quota == 0) return;
@@ -431,11 +436,11 @@ void TimingEngine::retire(Cycle t) {
 }
 
 bool TimingEngine::mem_conflict(const Pending& p) const {
-  const OpSpec& spec = op_spec(p.in.op);
+  const OpSpec& spec = *p.spec;
   if (spec.mem == MemMode::kNone) return false;
   std::uint64_t lo = 0;
   std::uint64_t hi = 0;
-  const bool bounded = mem_range(p.in, p.vl, p.ew, &lo, &hi);
+  const bool bounded = mem_range_of(p.in, spec.mem, p.vl, p.ew, &lo, &hi);
   // A load must not race an in-flight store over the same bytes (and vice
   // versa). Same-kind ops are ordered by their in-order unit queue.
   const Unit other = spec.reads_mem ? Unit::kStore : Unit::kLoad;
@@ -443,7 +448,9 @@ bool TimingEngine::mem_conflict(const Pending& p) const {
     const Inflight& o = pool_.at(slot);
     std::uint64_t olo = 0;
     std::uint64_t ohi = 0;
-    if (!bounded || !mem_range(o.in, o.vl, o.ew, &olo, &ohi)) return true;
+    if (!bounded || !mem_range_of(o.in, o.spec->mem, o.vl, o.ew, &olo, &ohi)) {
+      return true;
+    }
     if (lo < ohi && olo < hi) return true;
   }
   return false;
@@ -452,14 +459,15 @@ bool TimingEngine::mem_conflict(const Pending& p) const {
 void TimingEngine::tick_dispatch(Cycle t) {
   if (seq_.empty() || seq_.front().arrive_at > t) return;
   const Pending& p = seq_.front();
-  const OpSpec& spec = op_spec(p.in.op);
+  const OpSpec& spec = *p.spec;
   const Unit unit = spec.unit;
   auto& q = unitq_[static_cast<std::size_t>(unit)];
   if (q.size() >= cfg_.unit_queue_depth) return;
   if (mem_conflict(p)) return;
 
-  const auto [wb, wc] = write_group(p.in, p.group_regs);
-  const ReadGroups rgs = read_groups(p.in, p.group_regs);
+  const unsigned wb = p.write_base;
+  const unsigned wc = p.write_count;
+  const ReadGroups& rgs = p.reads;
 
   // WAW/WAR hazards: cross-unit conflicts stall dispatch; same-unit
   // conflicts are safe because units execute strictly in order.
@@ -483,6 +491,7 @@ void TimingEngine::tick_dispatch(Cycle t) {
   instr.issued_at = p.issued_at;
   instr.dispatched_at = t;
   instr.advanced_until = t;  // first advance opportunity is t + 1
+  instr.rate256 = head_rate256(instr);
 
   // RAW chaining dependencies on in-flight producers of the source groups.
   const std::int64_t offset = spec.is_slide ? slide_offset(p.in) : 0;
@@ -553,8 +562,7 @@ void TimingEngine::tick_dispatch(Cycle t) {
 bool TimingEngine::reg_pending_write(unsigned reg) const {
   if (find(regs_[reg].writer) != nullptr) return true;
   for (const Pending& p : seq_) {
-    const auto [wb, wc] = write_group(p.in, p.group_regs);
-    if (reg >= wb && reg < wb + wc) return true;
+    if (reg >= p.write_base && reg < p.write_base + p.write_count) return true;
   }
   return false;
 }
@@ -607,10 +615,12 @@ void TimingEngine::tick_cva6(Cycle t) {
   Pending p;
   p.in = in;
   p.prog_index = pc_;
-  p.vl = op_spec(in.op).elem0_only ? std::min<std::uint64_t>(1, fn_.vl())
-                                    : fn_.vl();
+  p.vl = spec.elem0_only ? std::min<std::uint64_t>(1, fn_.vl()) : fn_.vl();
   p.ew = sew_bytes(fn_.vtype().sew);
   p.group_regs = fn_.vtype().lmul.group_regs();
+  p.spec = &spec;
+  std::tie(p.write_base, p.write_count) = write_group(in, p.group_regs);
+  p.reads = read_groups(in, p.group_regs);
   p.issued_at = t;
   p.arrive_at = t + reqi_.fwd_latency();
   fn_.exec(in);  // architectural effects in program order
@@ -681,28 +691,20 @@ StallReason TimingEngine::classify_dep_limited(const Inflight& acting) const {
   return StallReason::kStructuralUnit;
 }
 
-StallReason TimingEngine::classify_no_fpu(Cycle u) const {
-  (void)u;
-  const auto& fq = unitq_[static_cast<std::size_t>(Unit::kFpu)];
+StallReason TimingEngine::classify_no_fpu(bool red_front, bool seq_fpu) const {
   // (a) A finished reduction holding the FPU queue front is in its
   // inter-lane/ring/writeback phases — the ring latency gates progress.
-  if (!fq.empty() && pool_.at(fq.front()).spec->is_reduction) {
-    return StallReason::kReductionSlideLatency;
-  }
+  if (red_front) return StallReason::kReductionSlideLatency;
   // (b) FPU work exists but has not reached a unit queue: frontend pressure.
-  for (const Pending& p : seq_) {
-    if (op_spec(p.in.op).unit == Unit::kFpu) return StallReason::kIssuePressure;
-  }
+  if (seq_fpu) return StallReason::kIssuePressure;
   // (c) CVA6 blocked on a scalar-returning op: blame the producer's kind.
   if (cva6_stall_ == Cva6Stall::kScalarWait && pc_ < prog_->ops.size()) {
     if (const auto* in = std::get_if<VInstr>(&prog_->ops[pc_])) {
       const unsigned reg = in->vs2;
       for (auto it = seq_.rbegin(); it != seq_.rend(); ++it) {
-        const auto [wb, wc] = write_group(it->in, it->group_regs);
-        if (reg >= wb && reg < wb + wc) {
-          return op_spec(it->in.op).is_reduction
-                     ? StallReason::kReductionSlideLatency
-                     : StallReason::kIssuePressure;
+        if (reg >= it->write_base && reg < it->write_base + it->write_count) {
+          return it->spec->is_reduction ? StallReason::kReductionSlideLatency
+                                        : StallReason::kIssuePressure;
         }
       }
       if (const Inflight* w = find(regs_[reg].writer); w != nullptr) {
@@ -757,7 +759,7 @@ void TimingEngine::attribute_piece(Cycle x, Cycle y, Inflight* acting) {
         !fq.empty() && pool_.at(fq.front()).spec->is_reduction;
     const bool seq_fpu = [&] {
       for (const Pending& p : seq_) {
-        if (op_spec(p.in.op).unit == Unit::kFpu) return true;
+        if (p.spec->unit == Unit::kFpu) return true;
       }
       return false;
     }();
@@ -789,7 +791,7 @@ void TimingEngine::attribute_piece(Cycle x, Cycle y, Inflight* acting) {
       else if (!mq.empty()) blame = &pool_.at(mq.front());
       else if (!aq.empty()) blame = &pool_.at(aq.front());
     }
-    charge(classify_no_fpu(x), x, y, 0, blame);
+    charge(classify_no_fpu(red_front, seq_fpu), x, y, 0, blame);
     return;
   }
 
@@ -808,7 +810,11 @@ void TimingEngine::attribute_piece(Cycle x, Cycle y, Inflight* acting) {
     if (e == y) return;
   }
   const Cycle s = std::max(x, in.start_at);
-  // (2) producing span: shortfall goes to the fixed-priority dep blame.
+  // (2) producing span: shortfall goes to the fixed-priority dep blame. A
+  // span the head filled completely charges nothing under any reason (and
+  // each sub-span of a split is full too), so the blame is derived only
+  // for spans with a shortfall.
+  if (prod(s, y) == (y - s + 1) * lane_slots) return;
   const StallReason r = classify_dep_limited(in);
   if (r == StallReason::kMemLatency) {
     // Split at the earliest first beat over the live load producers: before

@@ -28,6 +28,7 @@
 #include <deque>
 #include <vector>
 
+#include "cluster/sequencer.hpp"
 #include "interconnect/glsu.hpp"
 #include "interconnect/reqi.hpp"
 #include "interconnect/ring.hpp"
@@ -114,6 +115,14 @@ class TimingEngine {
     unsigned group_regs = 1;
     Cycle issued_at = 0;
     Cycle arrive_at = 0;
+    // Derived once at issue from the op, its registers and group_regs, all
+    // of which snapshot_state serializes (and the loop batcher's relabel
+    // keeps, since op signatures repeat period over period): dispatch and
+    // the stall classifier read these every cycle the op waits.
+    const OpSpec* spec = nullptr;
+    unsigned write_base = 0;
+    unsigned write_count = 0;  ///< 0 when the op writes no register
+    ReadGroups reads{};
   };
 
   /// Why CVA6 made no forward progress in the cycle just processed; the
@@ -234,7 +243,9 @@ class TimingEngine {
   /// Stall reason for cycles where no FPU instruction is in flight; constant
   /// over any attribution range except the mem first-beat split (handled by
   /// the caller via `fr_min`).
-  [[nodiscard]] StallReason classify_no_fpu(Cycle u) const;
+  /// `red_front`: a reduction holds the FPU queue front; `seq_fpu`: an FPU
+  /// op waits in the sequencer (both computed once by the caller).
+  [[nodiscard]] StallReason classify_no_fpu(bool red_front, bool seq_fpu) const;
   /// Blame for an acting head that is past start-up but under-producing.
   [[nodiscard]] StallReason classify_dep_limited(const Inflight& acting) const;
   /// Earliest first-beat cycle over in-flight memory instructions
@@ -255,6 +266,8 @@ class TimingEngine {
                                       const Inflight& p) const;
   [[nodiscard]] bool reg_pending_write(unsigned reg) const;
   [[nodiscard]] bool mem_conflict(const Pending& p) const;
+  /// Element throughput x256 of a dispatched instruction (fixed for its
+  /// whole life; dispatch stores it in Inflight::rate256).
   [[nodiscard]] std::uint64_t head_rate256(const Inflight& instr) const;
   [[nodiscard]] Cycle reduction_done_at(const Inflight& instr, Cycle finish) const;
   void account(Unit u, const Inflight& instr, std::uint64_t adv);
@@ -308,7 +321,7 @@ class TimingEngine {
 
   std::uint64_t next_id_ = 1;
   InflightPool pool_;
-  std::array<std::deque<std::uint32_t>, kNumUnits> unitq_;  ///< slot ids
+  std::array<UnitQueue, kNumUnits> unitq_;
   std::deque<Pending> seq_;
   std::array<RegState, kNumVregs> regs_;
 

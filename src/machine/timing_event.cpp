@@ -318,7 +318,7 @@ TimingEngine::CapLine TimingEngine::combined_cap(const Inflight& c, Cycle u,
 }
 
 void TimingEngine::advance_span_arith(Inflight& instr, Cycle from, Cycle to) {
-  const std::uint64_t r256 = head_rate256(instr);
+  const std::uint64_t r256 = instr.rate256;
 
   if ((r256 & 0xFF) != 0) {
     bool live_deps = false;

@@ -277,8 +277,8 @@ class LaggedCounter {
 /// per-cycle divider records), and the ring legitimately forgets anything
 /// older than its 64 retained entries. The tape is pruned after each
 /// attribution step, so its live length is bounded by one attribution window
-/// in practice; `base_*` preserve the pre-prune value so queries at or before
-/// the pruned boundary still answer exactly.
+/// plus one prune batch; `base_*` preserve the pre-prune value so queries at
+/// or before the pruned boundary still answer exactly.
 class ProdTape {
  public:
   void clear() noexcept {
@@ -322,15 +322,22 @@ class ProdTape {
 
   /// Drops pieces whose effect is fully captured at `through` (every future
   /// query will be at a later cycle). Keeps the value at `through` as the
-  /// new base so boundary queries (`value_at(through)`) still answer.
+  /// new base so boundary queries (`value_at(through)`) still answer. A
+  /// piece that is kept answers its queries exactly too, so pruning waits
+  /// until kPruneBatch pieces have built up and then drops them at once:
+  /// the per-cycle oracle pays one size test per step instead of a query.
   void prune(Cycle through) {
+    if (pieces_.size() < kPruneBatch) return;
     base_value_ = value_at(through);
     base_cycle_ = through;
     // A piece is droppable once a successor covers every cycle after
     // `through` (queries walk newest-first and never look past it again).
-    while (pieces_.size() > 1 && pieces_[1].start <= through + 1) {
-      pieces_.pop_front();
+    std::size_t drop = 0;
+    while (drop + 1 < pieces_.size() && pieces_[drop + 1].start <= through + 1) {
+      ++drop;
     }
+    pieces_.erase(pieces_.begin(),
+                  pieces_.begin() + static_cast<std::ptrdiff_t>(drop));
   }
 
   /// Time-axis relabel for the loop batcher (mirrors LaggedCounter).
@@ -357,7 +364,9 @@ class ProdTape {
     return e.value + (e.acc + (cw - e.start) * e.num) / e.den;
   }
 
-  std::deque<Entry> pieces_;
+  static constexpr std::size_t kPruneBatch = 32;
+
+  std::vector<Entry> pieces_;
   Cycle base_cycle_ = 0;
   std::uint64_t base_value_ = 0;
 };

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <set>
 #include <vector>
 
@@ -388,6 +389,67 @@ TEST(Runner, ZeroVlAndTinyAvlJobsRunClean) {
 }
 
 // ---- differential oracle at sweep scale -------------------------------------
+
+/// Wraps axpy and counts the build() and load_inputs() calls it receives.
+class CountingKernel final : public Kernel {
+ public:
+  static inline std::atomic<int> builds{0};
+  static inline std::atomic<int> loads{0};
+
+  [[nodiscard]] std::string_view name() const override { return "count_probe"; }
+  [[nodiscard]] double max_perf_factor() const override {
+    return inner_->max_perf_factor();
+  }
+  [[nodiscard]] Lmul lmul(std::uint64_t bpl) const override { return inner_->lmul(bpl); }
+  Program build(Machine& m, std::uint64_t bpl) override {
+    ++builds;
+    return inner_->build(m, bpl);
+  }
+  void load_inputs(Machine& m) const override {
+    ++loads;
+    inner_->load_inputs(m);
+  }
+  [[nodiscard]] std::uint64_t useful_flops() const override {
+    return inner_->useful_flops();
+  }
+  [[nodiscard]] VerifyResult verify(const Machine& m) const override {
+    return inner_->verify(m);
+  }
+  [[nodiscard]] double tolerance() const override { return inner_->tolerance(); }
+
+ private:
+  std::unique_ptr<Kernel> inner_ = make_kernel("axpy");
+};
+
+TEST(Runner, OracleCheckBuildsTheJobOnce) {
+  // The oracle replays the event run's program: one build, plus one
+  // load_inputs for the oracle machine's initial memory.
+  KernelRegistry& reg = KernelRegistry::instance();
+  if (reg.find("count_probe") == nullptr) {
+    KernelInfo info;
+    info.name = "count_probe";
+    info.factory = [] { return std::make_unique<CountingKernel>(); };
+    info.default_bpl_grid = {64};
+    info.extension = true;  // keep paper_names() stable for other tests
+    reg.add(std::move(info));
+  }
+  Job job;
+  job.config_label = "araxl:16";
+  job.cfg = MachineConfig::araxl(16);
+  job.kernel = "count_probe";
+  job.bytes_per_lane = 64;
+  job.seed = 5;
+  for (const bool oracle : {false, true}) {
+    CountingKernel::builds = 0;
+    CountingKernel::loads = 0;
+    RunnerOptions opts;
+    opts.check_oracle = oracle;
+    const JobResult r = run_job(job, opts);
+    EXPECT_TRUE(r.ok) << r.error;
+    EXPECT_EQ(CountingKernel::builds.load(), 1) << "oracle=" << oracle;
+    EXPECT_EQ(CountingKernel::loads.load(), oracle ? 1 : 0) << "oracle=" << oracle;
+  }
+}
 
 TEST(Runner, OracleCheckConfirmsEventEngineOnDriverJobs) {
   SweepSpec spec;

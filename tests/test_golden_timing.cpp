@@ -141,7 +141,7 @@ TEST(GoldenRunStats, EveryWordOfEveryKernel) {
       MachineConfig ocfg = point.cfg;
       ocfg.timing_mode = TimingMode::kCycleStepped;
       Machine oracle(ocfg);
-      (void)kernel->build(oracle, kBpl);
+      kernel->load_inputs(oracle);
       const RunStats ostats = oracle.run(prog);
       EXPECT_TRUE(ostats == stats) << spec << " " << name;
       EXPECT_EQ(ostats.wakeups_total, ostats.cycles) << spec << " " << name;

@@ -233,6 +233,54 @@ TEST_P(OpMatrix, StreamMatchesReferenceBitForBit) {
 
 INSTANTIATE_TEST_SUITE_P(AllRows, OpMatrix, testing::ValuesIn(table_ops()), op_name);
 
+TEST(SlideMatrix, PartialOverlapMatchesReference) {
+  // The placements above give a slide vs2 either equal to vd (shifted in
+  // place) or disjoint from it (read in place). A vs2 group that shares
+  // only some registers with vd takes the staged path; cover it both ways.
+  const MachineConfig cfg = small(MachineConfig::araxl(8));
+  const auto stream = std::make_unique<Side>(cfg);
+  const auto ref = std::make_unique<Side>(cfg);
+  std::uint64_t seed = 1;
+  int ran = 0;
+  for (const Op op : table_ops()) {
+    if (!op_spec(op).is_slide) continue;
+    for (const Sew sew : {Sew::k8, Sew::k64}) {
+      const Vtype vt{sew, Lmul{2}};
+      const std::uint64_t vmax = vlmax(cfg.effective_vlen(), vt);
+      for (const bool masked : {false, true}) {
+        for (const auto& [vd, vs2] : {std::pair{8u, 10u}, std::pair{10u, 8u}}) {
+          for (const std::uint64_t amount : {std::uint64_t{1}, std::uint64_t{3}, vmax - 1}) {
+            VInstr setup;
+            setup.op = Op::kVsetvli;
+            setup.avl = vmax - 1;
+            setup.vtype = vt;
+            VInstr in;
+            in.op = op;
+            in.vd = static_cast<std::uint8_t>(vd);
+            in.vs2 = static_cast<std::uint8_t>(vs2);
+            in.masked = masked;
+            in.fs = 1.5;
+            in.xs = static_cast<std::int64_t>(amount);
+            ++seed;
+            for (Side* s : {stream.get(), ref.get()}) fill_vrf(s->m.vrf(), 8, seed);
+            const Outcome got = run(*stream, setup, in, false);
+            const Outcome want = run(*ref, setup, in, true);
+            const std::string where = std::string(op_spec(op).mnemonic) + " " +
+                                      std::string(sew_name(sew)) +
+                                      (masked ? " masked" : "") + " v" +
+                                      std::to_string(vd) + "<-v" + std::to_string(vs2) +
+                                      " xs=" + std::to_string(amount);
+            ASSERT_EQ(got.rejected, want.rejected) << where;
+            if (!want.rejected) ++ran;
+            ASSERT_EQ(vrf_diff(stream->m.vrf(), ref->m.vrf()), "") << where;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(ran, 0);
+}
+
 // ---- memory ops ---------------------------------------------------------------
 
 constexpr std::uint64_t kMemBase = 0x10000;

@@ -6,6 +6,7 @@
 
 #include <functional>
 
+#include "common/contracts.hpp"
 #include "kernels/common.hpp"
 #include "machine/machine.hpp"
 
@@ -32,6 +33,19 @@ TEST(TimingKnobs, ShallowUnitQueueThrottlesBackToBackIssue) {
     for (int i = 0; i < 40; ++i) pb.vfadd_vv(8, 4, 4);
   };
   EXPECT_GT(run_cycles(shallow, body), run_cycles(deep, body));
+}
+
+TEST(TimingKnobs, UnitQueueDepthIsCappedAtValidation) {
+  // Unit queues are stored inline; a deeper config is rejected up front.
+  MachineConfig cfg = MachineConfig::araxl(16);
+  cfg.unit_queue_depth = kMaxUnitQueueDepth;
+  const auto body = [](ProgramBuilder& pb) {
+    pb.vsetvli(16, Sew::k64, kLmul1);
+    for (int i = 0; i < 40; ++i) pb.vfadd_vv(8, 4, 4);
+  };
+  EXPECT_GT(run_cycles(cfg, body), 0u);
+  cfg.unit_queue_depth = kMaxUnitQueueDepth + 1;
+  EXPECT_THROW(cfg.validate(), ContractViolation);
 }
 
 TEST(TimingKnobs, ShallowSequencerQueueStallsCva6) {

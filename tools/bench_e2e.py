@@ -14,6 +14,14 @@ rounds in which the change beat the parent.
 
 Each tree builds its harness under <tree>/.bench_build.
 Workloads run one at a time on one worker thread, as the benchmark does.
+
+    python3 tools/bench_e2e.py --check BENCH_e2e.json [--tree .]
+
+checks a tree against a committed point instead: it runs every workload
+once untraced and once traced at the point's seed, and fails on any
+difference in the host-independent counters (simulated cycles, FPU
+utilization, job success ratio and the timing engine's work counters) from
+the point's change medians. Host times are not checked.
 """
 
 import argparse
@@ -29,6 +37,17 @@ WORKLOADS = ("fig6-cold", "scaling-oracle", "cache-churn")
 # is better); the rest are deterministic and must match exactly.
 HOST_METRICS = {"sweep_s": "lower", "setup_s": "lower",
                 "sim_vinstr_per_s": "higher"}
+# Counters that --check requires to match the committed point exactly.
+EXACT_END_TO_END = ("sim_cycles", "sim_fpu_util", "job_ok_ratio")
+EXACT_PER_LAYER = ("machine.batched_iterations", "machine.warmup_projected",
+                   "machine.batch_clamps")
+EXACT_PER_LAYER_PREFIXES = ("machine.wakeups", "machine.batch_reject.")
+
+
+def exact(section, name):
+    if section == "end_to_end":
+        return name in EXACT_END_TO_END
+    return name in EXACT_PER_LAYER or name.startswith(EXACT_PER_LAYER_PREFIXES)
 
 
 def run_once(tree, workload, seed, seconds, trace):
@@ -58,17 +77,57 @@ def summary(values):
     return {"median": statistics.median(values), "q1": q[0], "q3": q[2]}
 
 
+def check(point_path, tree, seconds):
+    """Exit status 1 when a gated counter of `tree` differs from the point."""
+    with open(point_path) as f:
+        point = json.load(f)
+    tree = os.path.abspath(tree)
+    failures = 0
+    for w in WORKLOADS:
+        for trace, section in ((0, "end_to_end"), (1, "per_layer")):
+            got = run_once(tree, w, point["seed"], seconds, trace)
+            for name, row in point["workloads"][w][section].items():
+                if not exact(section, name):
+                    continue
+                want = row["change"]["median"]
+                have = got[name][0] if name in got else None
+                if have != want:
+                    failures += 1
+                    print(f"bench_e2e: {w} {name}: {have} != committed {want}",
+                          file=sys.stderr)
+            print(f"{w} trace {trace} checked", file=sys.stderr, flush=True)
+    if failures:
+        print(f"bench_e2e: {failures} counter(s) differ from {point_path}",
+              file=sys.stderr)
+        return 1
+    return 0
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--parent", required=True, help="parent source tree")
-    ap.add_argument("--change", required=True, help="changed source tree")
-    ap.add_argument("--parent-rev", required=True)
-    ap.add_argument("--change-rev", required=True)
-    ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--seconds", type=float, required=True)
-    ap.add_argument("--rounds", type=int, required=True)
-    ap.add_argument("--out", required=True)
+    ap.add_argument("--check", metavar="POINT",
+                    help="check --tree's exact counters against a committed point")
+    ap.add_argument("--tree", default=os.path.dirname(
+        os.path.dirname(os.path.abspath(__file__))),
+                    help="source tree for --check (default: this repository)")
+    ap.add_argument("--parent", help="parent source tree")
+    ap.add_argument("--change", help="changed source tree")
+    ap.add_argument("--parent-rev")
+    ap.add_argument("--change-rev")
+    ap.add_argument("--seed", type=int)
+    ap.add_argument("--seconds", type=float)
+    ap.add_argument("--rounds", type=int)
+    ap.add_argument("--out")
     args = ap.parse_args()
+    if args.check:
+        return check(args.check, args.tree,
+                     args.seconds if args.seconds is not None else 1.0)
+    missing = [opt for opt in ("parent", "change", "parent_rev", "change_rev",
+                               "seed", "seconds", "rounds", "out")
+               if getattr(args, opt) is None]
+    if missing:
+        ap.error("without --check, these are required: " +
+                 ", ".join("--" + m.replace("_", "-") for m in missing))
 
     trees = {"parent": os.path.abspath(args.parent),
              "change": os.path.abspath(args.change)}
