@@ -7,6 +7,8 @@
 // re-run the figure benches), never an accident.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdio>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -115,6 +117,22 @@ std::string golden_stats_lines(const std::string& config, const std::string& ker
   return out;
 }
 
+// Compares `actual` with the committed tests/golden/<name>; on a mismatch the
+// actual bytes are written next to the test's temp files for diffing.
+void expect_matches_golden(const std::string& name, const std::string& actual,
+                           const char* what) {
+  const std::string path = std::string(ARAXL_SOURCE_DIR) + "/tests/golden/" + name;
+  std::ifstream f(path, std::ios::binary);
+  const std::string golden((std::istreambuf_iterator<char>(f)),
+                           std::istreambuf_iterator<char>());
+  if (actual != golden) {
+    const std::string out = testing::TempDir() + name;
+    std::ofstream(out, std::ios::binary) << actual;
+    ADD_FAILURE() << path << " differs from this build's " << what
+                  << "; actual in " << out;
+  }
+}
+
 TEST(GoldenRunStats, EveryWordOfEveryKernel) {
   // Pins every kRunStatsFields word, provenance included, of every registry
   // kernel on flat Ara2 and AraXL machines and a hierarchical one
@@ -147,17 +165,41 @@ TEST(GoldenRunStats, EveryWordOfEveryKernel) {
       EXPECT_EQ(ostats.wakeups_total, ostats.cycles) << spec << " " << name;
     }
   }
-  const std::string path =
-      std::string(ARAXL_SOURCE_DIR) + "/tests/golden/run_stats.txt";
-  std::ifstream f(path, std::ios::binary);
-  const std::string golden((std::istreambuf_iterator<char>(f)),
-                           std::istreambuf_iterator<char>());
-  if (actual != golden) {
-    const std::string out = testing::TempDir() + "run_stats.txt";
-    std::ofstream(out, std::ios::binary) << actual;
-    ADD_FAILURE() << path << " differs from this build's RunStats; actual in "
-                  << out;
+  expect_matches_golden("run_stats.txt", actual, "RunStats");
+}
+
+TEST(GoldenVerify, EveryKernelBitExact) {
+  // Pins each registry kernel's VerifyResult (max_rel_err as its IEEE bits,
+  // and the element count) on the GoldenRunStats machines at seed 11
+  // (tests/golden/verify.txt). Reports and store lines carry both fields,
+  // so a rewrite of a golden reference or of the compare must reproduce
+  // them bit for bit. At 24 B/lane no output length is a multiple of a
+  // verify row, tile or chunk, so the tails are covered too.
+  constexpr std::uint64_t kSeed = 11;
+  const auto& registry = driver::KernelRegistry::instance();
+  std::string actual;
+  for (const char* spec : {"ara2:8", "araxl:16", "araxl:64", "araxl:2x2x4"}) {
+    const driver::ConfigPoint point = driver::parse_config_spec(spec);
+    for (const std::string& name : registry.names()) {
+      for (const std::uint64_t bpl : {24, 64}) {
+        Machine m(point.cfg);
+        auto kernel = registry.make(name);
+        kernel->seed_inputs(kSeed);
+        m.run(kernel->build(m, bpl));
+        const VerifyResult vr = kernel->verify(m);
+        EXPECT_TRUE(vr.ok(kernel->tolerance())) << spec << " " << name << " " << bpl;
+        char line[160];
+        std::snprintf(line, sizeof line, "%s %s %llu %016llx %llu\n",
+                      point.label.c_str(), name.c_str(),
+                      static_cast<unsigned long long>(bpl),
+                      static_cast<unsigned long long>(
+                          std::bit_cast<std::uint64_t>(vr.max_rel_err)),
+                      static_cast<unsigned long long>(vr.checked));
+        actual += line;
+      }
+    }
   }
+  expect_matches_golden("verify.txt", actual, "VerifyResults");
 }
 
 }  // namespace
