@@ -160,7 +160,12 @@ JobResult execute(const Job& job, const RunnerOptions& opts,
   Machine m(cfg);
   auto kernel = registry.make(job.kernel);
   kernel->seed_inputs(job.seed);
-  const Program prog = kernel->build(m, job.bytes_per_lane);
+  Program prog;
+  try {
+    prog = kernel->build(m, job.bytes_per_lane);
+  } catch (const FootprintError& e) {
+    throw JobError(ErrorKind::kConfig, e.what());
+  }
   const std::uint64_t t_built = mx != nullptr ? steady_ns() : 0;
 
   InstrTrace* trace = nullptr;

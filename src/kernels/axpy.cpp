@@ -30,12 +30,12 @@ class AxpyKernel final : public Kernel {
   Program build(Machine& m, std::uint64_t bytes_per_lane) override {
     const MachineConfig& cfg = m.config();
     n_ = elems_for_bytes_per_lane(cfg, bytes_per_lane);
-    x_ = random_doubles(n_, -1.0, 1.0, input_seed(0x75));
-    y_ = random_doubles(n_, -1.0, 1.0, input_seed(0x76));
-
-    MemLayout layout;
+    MemLayout layout(m.mem());
     x_addr_ = layout.alloc(n_ * 8);
     y_addr_ = layout.alloc(n_ * 8);
+
+    x_ = random_doubles(n_, -1.0, 1.0, input_seed(0x75));
+    y_ = random_doubles(n_, -1.0, 1.0, input_seed(0x76));
     load_inputs(m);
 
     // Same shape as the bench's build_axpy: a fixed register pair per
@@ -56,11 +56,9 @@ class AxpyKernel final : public Kernel {
   [[nodiscard]] std::uint64_t useful_flops() const override { return 2ull * n_; }
 
   [[nodiscard]] VerifyResult verify(const Machine& m) const override {
-    std::vector<double> expected(n_);
-    for (std::uint64_t i = 0; i < n_; ++i) {
-      expected[i] = std::fma(kA, x_[i], y_[i]);
-    }
-    return compare_doubles(expected, m.mem().load_doubles(y_addr_, n_));
+    return verify_chunked(m.mem(), y_addr_, n_, [&](std::uint64_t i) {
+      return std::fma(kA, x_[i], y_[i]);
+    });
   }
 
   [[nodiscard]] double tolerance() const override { return 0.0; }

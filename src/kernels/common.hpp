@@ -8,7 +8,12 @@
 #ifndef ARAXL_KERNELS_COMMON_HPP
 #define ARAXL_KERNELS_COMMON_HPP
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
 #include <memory>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -102,15 +107,58 @@ std::uint64_t elems_for_bytes_per_lane(const MachineConfig& cfg,
 std::vector<double> random_doubles(std::uint64_t n, double lo, double hi,
                                    std::uint64_t seed);
 
-/// Max relative error between two spans (absolute error for tiny values).
-VerifyResult compare_doubles(const std::vector<double>& expected,
-                             const std::vector<double>& actual);
+/// Elements of a flat output (exp, spmv, stream_triad, axpy) whose golden
+/// reference a verify computes and compares at once.
+inline constexpr std::uint64_t kVerifyChunk = 128;
+
+/// Error of one output element against its reference: |e - a| / max(|e|, 1),
+/// i.e. relative, or absolute for values below 1. An element that is not
+/// bit-equal to its reference scores +inf where that quotient is not a
+/// number (a NaN on either side, or an infinite reference), so such an
+/// element fails every tolerance.
+[[nodiscard]] double element_error(double expected, double actual);
+
+/// Folds one piece of a golden reference into `r`: compares `expected`
+/// with the expected.size() doubles the machine holds at `addr`, read in
+/// place through one bounds-checked window of `mem`. A verify computes its
+/// reference one row, tile or chunk at a time and calls this per piece.
+void compare_in_place(VerifyResult& r, std::span<const double> expected,
+                      const MainMemory& mem, std::uint64_t addr);
+
+/// Verifies a flat output of `n` doubles at `addr` whose element i has the
+/// golden value ref(i), computing and comparing kVerifyChunk elements at a
+/// time.
+template <typename Ref>
+VerifyResult verify_chunked(const MainMemory& mem, std::uint64_t addr,
+                            std::uint64_t n, Ref ref) {
+  VerifyResult r;
+  std::array<double, kVerifyChunk> chunk;
+  for (std::uint64_t i0 = 0; i0 < n; i0 += kVerifyChunk) {
+    const std::uint64_t len = std::min(kVerifyChunk, n - i0);
+    for (std::uint64_t i = 0; i < len; ++i) chunk[i] = ref(i0 + i);
+    compare_in_place(r, {chunk.data(), len}, mem, addr + i0 * 8);
+  }
+  return r;
+}
+
+/// A kernel's buffers do not fit the machine's main memory at the
+/// requested weak-scaling point: a property of the (kernel, machine,
+/// B/lane) point, raised while the build lays out its buffers, before
+/// anything is simulated.
+class FootprintError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
 
 /// Simple bump allocator for laying out kernel buffers in main memory.
 class MemLayout {
  public:
   explicit MemLayout(std::uint64_t base = 1u << 20, std::uint64_t align = 4096)
       : cursor_(base), align_(align) {}
+
+  /// A layout that must fit `mem`: alloc() throws FootprintError for a
+  /// buffer that would end past its last byte.
+  explicit MemLayout(const MainMemory& mem) : MemLayout() { limit_ = mem.size(); }
 
   /// Reserves `bytes` and returns the base address.
   std::uint64_t alloc(std::uint64_t bytes);
@@ -122,6 +170,7 @@ class MemLayout {
  private:
   std::uint64_t cursor_;
   std::uint64_t align_;
+  std::uint64_t limit_ = UINT64_MAX;
 };
 
 }  // namespace araxl

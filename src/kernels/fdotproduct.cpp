@@ -28,13 +28,13 @@ class FdotproductKernel final : public Kernel {
     const MachineConfig& cfg = m.config();
     n_ = elems_for_bytes_per_lane(cfg, bytes_per_lane);
 
-    a_ = random_doubles(n_, -1.0, 1.0, input_seed(0xD0));
-    b_ = random_doubles(n_, -1.0, 1.0, input_seed(0xD1));
-
-    MemLayout layout;
+    MemLayout layout(m.mem());
     a_addr_ = layout.alloc(n_ * 8);
     b_addr_ = layout.alloc(n_ * 8);
     res_addr_ = layout.alloc(8);
+
+    a_ = random_doubles(n_, -1.0, 1.0, input_seed(0xD0));
+    b_ = random_doubles(n_, -1.0, 1.0, input_seed(0xD1));
     load_inputs(m);
 
     ProgramBuilder pb(cfg.effective_vlen(), "fdotproduct");
@@ -72,9 +72,7 @@ class FdotproductKernel final : public Kernel {
     for (std::uint64_t i = 0; i < n_; ++i) expected = std::fma(a_[i], b_[i], expected);
     VerifyResult r;
     r.checked = 1;
-    const double actual = m.scalar_acc();
-    r.max_rel_err =
-        std::abs(expected - actual) / std::max(std::abs(expected), 1.0);
+    r.max_rel_err = element_error(expected, m.scalar_acc());
     return r;
   }
 

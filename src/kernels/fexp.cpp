@@ -78,11 +78,11 @@ class FexpKernel final : public Kernel {
   Program build(Machine& m, std::uint64_t bytes_per_lane) override {
     const MachineConfig& cfg = m.config();
     n_ = elems_for_bytes_per_lane(cfg, bytes_per_lane);
-    x_ = random_doubles(n_, -30.0, 30.0, input_seed(0xE0));
-
-    MemLayout layout;
+    MemLayout layout(m.mem());
     x_addr_ = layout.alloc(n_ * 8);
     y_addr_ = layout.alloc(n_ * 8);
+
+    x_ = random_doubles(n_, -30.0, 30.0, input_seed(0xE0));
     load_inputs(m);
 
     ProgramBuilder pb(cfg.effective_vlen(), "exp");
@@ -106,9 +106,8 @@ class FexpKernel final : public Kernel {
   }
 
   [[nodiscard]] VerifyResult verify(const Machine& m) const override {
-    std::vector<double> expected(n_);
-    for (std::uint64_t i = 0; i < n_; ++i) expected[i] = std::exp(x_[i]);
-    return compare_doubles(expected, m.mem().load_doubles(y_addr_, n_));
+    return verify_chunked(m.mem(), y_addr_, n_,
+                          [&](std::uint64_t i) { return std::exp(x_[i]); });
   }
 
   [[nodiscard]] double tolerance() const override { return 1e-12; }

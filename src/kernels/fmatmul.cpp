@@ -5,6 +5,7 @@
 // groups stays resident while the k-loop streams rows of B through a
 // double-buffered register pair; each vfmacc.vf takes its scalar from A via
 // a scalar d-cache load. Peak: one FMA per lane per cycle = 2 LC DP-FLOP.
+#include <algorithm>
 #include <cmath>
 
 #include "common/contracts.hpp"
@@ -15,6 +16,7 @@ namespace {
 
 constexpr unsigned kM = 64;   // rows of A / C
 constexpr unsigned kK = 256;  // columns of A = rows of B
+constexpr unsigned kTileCols = 64;  // verify: columns of C per reference tile
 
 class FmatmulKernel final : public Kernel {
  public:
@@ -39,13 +41,13 @@ class FmatmulKernel final : public Kernel {
     const unsigned g = ml.group_regs();
     const unsigned rb = g >= 4 ? 4 : 8;  // row block sized to the register budget
 
+    MemLayout layout(m.mem());
+    a_addr_ = layout.alloc(kM * kK * 8);
+    b_addr_ = layout.alloc(kK * n_ * 8);
+    c_addr_ = layout.alloc(kM * n_ * 8);
+
     a_ = random_doubles(kM * kK, -1.0, 1.0, input_seed(0xA));
     b_ = random_doubles(kK * n_, -1.0, 1.0, input_seed(0xB));
-
-    MemLayout layout;
-    a_addr_ = layout.alloc(a_.size() * 8);
-    b_addr_ = layout.alloc(b_.size() * 8);
-    c_addr_ = layout.alloc(kM * n_ * 8);
     load_inputs(m);
 
     ProgramBuilder pb(cfg.effective_vlen(), "fmatmul");
@@ -82,19 +84,38 @@ class FmatmulKernel final : public Kernel {
   }
 
   [[nodiscard]] VerifyResult verify(const Machine& m) const override {
-    // i-k-j order: one row of accumulators, rows of B streamed unit-stride.
-    // Every element still takes its fma chain in ascending k, so the result
-    // is bit-identical to the textbook i-j-k loop.
-    std::vector<double> expected(kM * n_, 0.0);
-    for (unsigned i = 0; i < kM; ++i) {
-      double* acc = expected.data() + std::uint64_t{i} * n_;
-      for (unsigned k = 0; k < kK; ++k) {
-        const double a = a_[i * kK + k];
-        const double* b = b_.data() + std::uint64_t{k} * n_;
-        for (std::uint64_t j = 0; j < n_; ++j) acc[j] = std::fma(a, b[j], acc[j]);
+    // One tile of kTileCols columns across all kM rows at a time (32 KiB of
+    // accumulators). Inside it, four rows of B at a time are applied to
+    // each accumulator in one register pass: each row of B is read once
+    // per tile, and every element still takes its fma chain in ascending
+    // k, so the result is bit-identical to the textbook i-j-k loop.
+    static_assert(kK % 4 == 0);
+    VerifyResult r;
+    std::vector<double> acc(kM * kTileCols);
+    for (std::uint64_t j0 = 0; j0 < n_; j0 += kTileCols) {
+      const std::uint64_t w = std::min<std::uint64_t>(kTileCols, n_ - j0);
+      std::fill(acc.begin(), acc.end(), 0.0);
+      for (unsigned k = 0; k < kK; k += 4) {
+        const double* b0 = b_.data() + std::uint64_t{k} * n_ + j0;
+        const double* b1 = b0 + n_;
+        const double* b2 = b1 + n_;
+        const double* b3 = b2 + n_;
+        for (unsigned i = 0; i < kM; ++i) {
+          const double* a = a_.data() + i * kK + k;
+          double* row = acc.data() + i * kTileCols;
+          for (std::uint64_t j = 0; j < w; ++j) {
+            row[j] = std::fma(a[3], b3[j],
+                              std::fma(a[2], b2[j],
+                                       std::fma(a[1], b1[j], std::fma(a[0], b0[j], row[j]))));
+          }
+        }
+      }
+      for (unsigned i = 0; i < kM; ++i) {
+        compare_in_place(r, {acc.data() + i * kTileCols, w}, m.mem(),
+                         c_addr_ + (i * n_ + j0) * 8);
       }
     }
-    return compare_doubles(expected, m.mem().load_doubles(c_addr_, kM * n_));
+    return r;
   }
 
   [[nodiscard]] double tolerance() const override { return 0.0; }  // same dataflow

@@ -37,12 +37,12 @@ class FsoftmaxKernel final : public Kernel {
   Program build(Machine& m, std::uint64_t bytes_per_lane) override {
     const MachineConfig& cfg = m.config();
     n_ = elems_for_bytes_per_lane(cfg, bytes_per_lane);
-    x_ = random_doubles(std::uint64_t{kRows} * n_, -8.0, 8.0, input_seed(0x50));
-
-    MemLayout layout;
-    x_addr_ = layout.alloc(x_.size() * 8);
-    y_addr_ = layout.alloc(x_.size() * 8);
+    MemLayout layout(m.mem());
+    x_addr_ = layout.alloc(std::uint64_t{kRows} * n_ * 8);
+    y_addr_ = layout.alloc(std::uint64_t{kRows} * n_ * 8);
     scratch_addr_ = layout.alloc(n_ * 8);
+
+    x_ = random_doubles(std::uint64_t{kRows} * n_, -8.0, 8.0, input_seed(0x50));
     load_inputs(m);
 
     ProgramBuilder pb(cfg.effective_vlen(), "softmax");
@@ -112,18 +112,21 @@ class FsoftmaxKernel final : public Kernel {
   }
 
   [[nodiscard]] VerifyResult verify(const Machine& m) const override {
-    std::vector<double> expected(x_.size());
+    VerifyResult res;
+    std::vector<double> e(n_);
     for (unsigned r = 0; r < kRows; ++r) {
       const double* row = x_.data() + std::uint64_t{r} * n_;
       double mx = -std::numeric_limits<double>::infinity();
       for (std::uint64_t c = 0; c < n_; ++c) mx = std::max(mx, row[c]);
       double sum = 0.0;
-      for (std::uint64_t c = 0; c < n_; ++c) sum += std::exp(row[c] - mx);
       for (std::uint64_t c = 0; c < n_; ++c) {
-        expected[std::uint64_t{r} * n_ + c] = std::exp(row[c] - mx) / sum;
+        e[c] = std::exp(row[c] - mx);
+        sum += e[c];
       }
+      for (std::uint64_t c = 0; c < n_; ++c) e[c] /= sum;
+      compare_in_place(res, e, m.mem(), y_addr_ + std::uint64_t{r} * n_ * 8);
     }
-    return compare_doubles(expected, m.mem().load_doubles(y_addr_, x_.size()));
+    return res;
   }
 
   [[nodiscard]] double tolerance() const override { return 1e-10; }

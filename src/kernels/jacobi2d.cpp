@@ -38,11 +38,11 @@ class Jacobi2dKernel final : public Kernel {
     const std::uint64_t lanes = cfg.total_lanes();
     in_cols_ += (lanes - in_cols_ % lanes) % lanes;
 
-    in_ = random_doubles((kRows + 2) * in_cols_, -1.0, 1.0, input_seed(0x1A));
-
-    MemLayout layout;
-    in_addr_ = layout.alloc(in_.size() * 8);
+    MemLayout layout(m.mem());
+    in_addr_ = layout.alloc((kRows + 2) * in_cols_ * 8);
     out_addr_ = layout.alloc(std::uint64_t{kRows} * n_ * 8);
+
+    in_ = random_doubles((kRows + 2) * in_cols_, -1.0, 1.0, input_seed(0x1A));
     load_inputs(m);
 
     ProgramBuilder pb(cfg.effective_vlen(), "jacobi2d");
@@ -90,7 +90,8 @@ class Jacobi2dKernel final : public Kernel {
   }
 
   [[nodiscard]] VerifyResult verify(const Machine& m) const override {
-    std::vector<double> expected(std::uint64_t{kRows} * n_);
+    VerifyResult res;
+    std::vector<double> row(n_);
     for (unsigned r = 0; r < kRows; ++r) {
       for (std::uint64_t c = 0; c < n_; ++c) {
         const std::uint64_t up = std::uint64_t{r} * in_cols_ + c + 1;
@@ -98,11 +99,11 @@ class Jacobi2dKernel final : public Kernel {
         const std::uint64_t down = std::uint64_t{r + 2} * in_cols_ + c + 1;
         const double sum =
             ((in_[up] + in_[down]) + (in_[mid - 1] + in_[mid + 1])) + in_[mid];
-        expected[std::uint64_t{r} * n_ + c] = sum * kW;
+        row[c] = sum * kW;
       }
+      compare_in_place(res, row, m.mem(), out_addr_ + std::uint64_t{r} * n_ * 8);
     }
-    return compare_doubles(expected,
-                           m.mem().load_doubles(out_addr_, std::uint64_t{kRows} * n_));
+    return res;
   }
 
   [[nodiscard]] double tolerance() const override { return 0.0; }  // same dataflow

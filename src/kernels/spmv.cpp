@@ -58,7 +58,7 @@ class SpmvKernel final : public Kernel {
     }
     x_ = random_doubles(cols_, -1.0, 1.0, input_seed(0x5C));
 
-    MemLayout layout;
+    MemLayout layout(m.mem());
     vals_addr_ = layout.alloc(vals_.size() * 8);
     // Column indices are stored pre-scaled to byte offsets, as a vectorized
     // CSR kernel would keep them for vluxei.
@@ -97,15 +97,13 @@ class SpmvKernel final : public Kernel {
   }
 
   [[nodiscard]] VerifyResult verify(const Machine& m) const override {
-    std::vector<double> expected(rows_);
-    for (std::uint64_t r = 0; r < rows_; ++r) {
+    return verify_chunked(m.mem(), y_addr_, rows_, [&](std::uint64_t r) {
       double acc = 0.0;
       for (std::uint64_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
         acc += vals_[k] * x_[cols_idx_[k]];
       }
-      expected[r] = acc;
-    }
-    return compare_doubles(expected, m.mem().load_doubles(y_addr_, rows_));
+      return acc;
+    });
   }
 
   [[nodiscard]] double tolerance() const override { return 1e-10; }

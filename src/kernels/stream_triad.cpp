@@ -26,13 +26,13 @@ class StreamTriadKernel final : public Kernel {
   Program build(Machine& m, std::uint64_t bytes_per_lane) override {
     const MachineConfig& cfg = m.config();
     n_ = elems_for_bytes_per_lane(cfg, bytes_per_lane);
-    b_ = random_doubles(n_, -1.0, 1.0, input_seed(0x71));
-    c_ = random_doubles(n_, -1.0, 1.0, input_seed(0x72));
-
-    MemLayout layout;
+    MemLayout layout(m.mem());
     a_addr_ = layout.alloc(n_ * 8);
     b_addr_ = layout.alloc(n_ * 8);
     c_addr_ = layout.alloc(n_ * 8);
+
+    b_ = random_doubles(n_, -1.0, 1.0, input_seed(0x71));
+    c_ = random_doubles(n_, -1.0, 1.0, input_seed(0x72));
     load_inputs(m);
 
     ProgramBuilder pb(cfg.effective_vlen(), "stream_triad");
@@ -57,11 +57,9 @@ class StreamTriadKernel final : public Kernel {
   [[nodiscard]] std::uint64_t useful_flops() const override { return 2ull * n_; }
 
   [[nodiscard]] VerifyResult verify(const Machine& m) const override {
-    std::vector<double> expected(n_);
-    for (std::uint64_t i = 0; i < n_; ++i) {
-      expected[i] = std::fma(kScale, c_[i], b_[i]);
-    }
-    return compare_doubles(expected, m.mem().load_doubles(a_addr_, n_));
+    return verify_chunked(m.mem(), a_addr_, n_, [&](std::uint64_t i) {
+      return std::fma(kScale, c_[i], b_[i]);
+    });
   }
 
   [[nodiscard]] double tolerance() const override { return 0.0; }

@@ -19,6 +19,7 @@
 #include "driver/spec.hpp"
 #include "isa/program.hpp"
 #include "kernels/common.hpp"
+#include "obs/metrics.hpp"
 
 namespace araxl::driver {
 namespace {
@@ -331,6 +332,27 @@ TEST(Runner, InvalidConfigJobIsIsolatedNotFatal) {
   EXPECT_TRUE(results[0].ok) << results[0].error;
   EXPECT_FALSE(results[1].ok);
   EXPECT_FALSE(results[1].error.empty());
+}
+
+TEST(Runner, OversizedJobFailsAsConfigErrorBeforeSimulating) {
+  // fconv2d on araxl:256 at 512 B/lane lays out 68960256 bytes (input with
+  // its column halo, output, and the 1 MiB layout base) against 64 MiB of
+  // main memory: the build rejects the point before anything is simulated.
+  Job job;
+  job.config_label = "araxl:256";
+  job.cfg = MachineConfig::araxl(256);
+  job.kernel = "fconv2d";
+  job.bytes_per_lane = 512;
+  obs::MetricsRegistry metrics;
+  RunnerOptions opts;
+  opts.metrics = &metrics;
+  const JobResult r = run_job(job, opts);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.error_kind, ErrorKind::kConfig) << r.error;
+  EXPECT_NE(r.error.find("68960256"), std::string::npos) << r.error;
+  EXPECT_NE(r.error.find("67108864"), std::string::npos) << r.error;
+  EXPECT_EQ(r.attempts, 1u);
+  EXPECT_EQ(metrics.counter("runner.jobs_simulated")->value(), 0u);
 }
 
 // ---- degenerate jobs --------------------------------------------------------
